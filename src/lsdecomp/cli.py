@@ -11,107 +11,71 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 
 import numpy as np
 
 from . import lsd, oracle, separability, wootters
-from .errors import (
-    BranchInfeasible,
-    DecompositionUnavailable,
-    DegenerateBasis,
-    EmptyFamily,
-    InfeasiblePoint,
-    InvariantViolation,
-    LsdError,
-    NoConvergence,
-    NoDualCertificate,
-    NotPSD,
-    ParseError,
-    UnsupportedSpec,
-)
+from .errors import LsdError, NumericalError, ParseError, UnsupportedSpec
 from .states import (
-    BD22,
-    BD23,
-    ICD,
+    FAMILIES,
+    FAMILY_BY_NAME,
+    FAMILY_BY_SPEC,
     DensityMatrix,
-    Horodecki33,
-    Isotropic,
-    MultiIso,
     Raw,
     StateSpec,
-    Werner,
     build,
 )
 
 SCHEMA = "lsd-report/1"
 
-# numerical failures exit 3; every other package error is a validation problem (exit 2)
-_NUMERICAL_ERRORS = (
-    InvariantViolation,
-    NoConvergence,
-    DecompositionUnavailable,
-    DegenerateBasis,
-    EmptyFamily,
-    NoDualCertificate,
-    InfeasiblePoint,
-    NotPSD,
-    BranchInfeasible,
-)
+# each family's JSON fields are its spec's fields: name -> type
+_FIELDS = {fam.name: typing.get_type_hints(fam.spec) for fam in FAMILIES}
+
+
+def _decode(tp, value):
+    if typing.get_origin(tp) is tuple:  # a probability vector
+        return tuple(float(v) for v in value)
+    return tp(value)
 
 
 def parse_spec(obj) -> StateSpec:
-    """Parse the flat tagged JSON object {"family": ..., ...} into a StateSpec."""
+    """Parse the flat tagged JSON object {"family": ..., ...} into a StateSpec.
+
+    A family's JSON fields are its spec's fields; a raw matrix comes as its
+    real part "re" and an optional imaginary part "im".
+    """
     if not isinstance(obj, dict):
         raise ParseError(f"spec must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
+    if not isinstance(family, str) or family not in FAMILY_BY_NAME:
+        raise UnsupportedSpec(f"unknown family {family!r}")
     try:
-        if family == "bd22":
-            return BD22(p=tuple(float(v) for v in obj["p"]))
-        if family == "icd":
-            return ICD(theta=float(obj["theta"]), p=tuple(float(v) for v in obj["p"]))
-        if family == "bd23":
-            return BD23(p=tuple(float(v) for v in obj["p"]))
-        if family == "werner":
-            return Werner(d=int(obj["d"]), f=float(obj["f"]))
-        if family == "isotropic":
-            return Isotropic(d=int(obj["d"]), F=float(obj["F"]))
-        if family == "horodecki33":
-            return Horodecki33(alpha=float(obj["alpha"]))
-        if family == "multi_iso":
-            return MultiIso(d=int(obj["d"]), n=int(obj["n"]), s=float(obj["s"]))
         if family == "raw":
             dims = tuple(int(v) for v in obj["dims"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
             return Raw(dims=dims, matrix=re + 1j * im)
+        args = {name: _decode(tp, obj[name]) for name, tp in _FIELDS[family].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed fields for family {family!r}: {exc}") from exc
-    raise UnsupportedSpec(f"unknown family {family!r}")
+    return FAMILY_BY_NAME[family].spec(**args)
 
 
 def spec_to_json(spec: StateSpec) -> dict:
-    if isinstance(spec, BD22):
-        return {"family": "bd22", "p": list(spec.p)}
-    if isinstance(spec, ICD):
-        return {"family": "icd", "theta": spec.theta, "p": list(spec.p)}
-    if isinstance(spec, BD23):
-        return {"family": "bd23", "p": list(spec.p)}
-    if isinstance(spec, Werner):
-        return {"family": "werner", "d": spec.d, "f": spec.f}
-    if isinstance(spec, Isotropic):
-        return {"family": "isotropic", "d": spec.d, "F": spec.F}
-    if isinstance(spec, Horodecki33):
-        return {"family": "horodecki33", "alpha": spec.alpha}
-    if isinstance(spec, MultiIso):
-        return {"family": "multi_iso", "d": spec.d, "n": spec.n, "s": spec.s}
-    if isinstance(spec, Raw):
+    name = FAMILY_BY_SPEC[type(spec)].name
+    if name == "raw":
         return {
             "family": "raw",
             "dims": list(spec.dims),
             "re": np.asarray(spec.matrix).real.tolist(),
             "im": np.asarray(spec.matrix).imag.tolist(),
         }
-    raise TypeError(type(spec).__name__)
+    out = {"family": name}
+    for field in _FIELDS[name]:
+        value = getattr(spec, field)
+        out[field] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def _matrix_block(mat: np.ndarray, dims) -> dict:
@@ -252,7 +216,6 @@ def _verify_report(report: dict, tol: float | None) -> tuple[dict, bool]:
         lam=lam,
         separable_part=sep,
         entangled_part=ent,
-        entangled_normalized=None,
         residual_norm=0.0,
         method=str(report.get("method", "unknown")),
     )
@@ -429,7 +392,7 @@ def main(argv=None) -> int:
         return 0
     except LsdError as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
-        return 3 if isinstance(exc, _NUMERICAL_ERRORS) else 2
+        return 3 if isinstance(exc, NumericalError) else 2
     except ValueError as exc:
         sys.stderr.write(f"error (ValueError): {exc}\n")
         return 2

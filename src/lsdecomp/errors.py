@@ -1,97 +1,105 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error derives from `InputError` or `NumericalError`; the base sets
+the CLI exit code.
+"""
 
 
 class LsdError(Exception):
     """Base class for every error raised by this package."""
 
 
-class NotHermitian(LsdError):
+class InputError(LsdError):
+    """The input is malformed, out of range or not supported (exit 2)."""
+
+
+class NumericalError(LsdError):
+    """A numerical computation failed or could not be certified (exit 3)."""
+
+
+class NotHermitian(InputError):
     pass
 
 
-class NotSymmetric(LsdError):
+class NotSymmetric(InputError):
     pass
 
 
-class NotPSD(LsdError):
+class NotPSD(NumericalError):
     pass
 
 
-class NoConvergence(LsdError):
+class NoConvergence(NumericalError):
     pass
 
 
-class DimensionMismatch(LsdError):
+class DimensionMismatch(InputError):
     pass
 
 
-class NotBipartite(LsdError):
+class NotBipartite(InputError):
     pass
 
 
-class InvalidProbabilities(LsdError):
+class InvalidProbabilities(InputError):
     pass
 
 
-class ThetaOutOfRange(LsdError):
+class ThetaOutOfRange(InputError):
     pass
 
 
-class ParamOutOfRange(LsdError):
+class ParamOutOfRange(InputError):
     pass
 
 
-class DimensionTooLarge(LsdError):
+class DimensionTooLarge(InputError):
     pass
 
 
-class RawValidationFailed(LsdError):
+class RawValidationFailed(InputError):
     pass
 
 
-class RawSpecUnsupported(LsdError):
+class RawSpecUnsupported(InputError):
     pass
 
 
-class WrongDims(LsdError):
+class WrongDims(InputError):
     pass
 
 
-class DegenerateBasis(LsdError):
+class DegenerateBasis(NumericalError):
     pass
 
 
-class BranchInfeasible(LsdError):
-    pass
-
-
-class DecompositionUnavailable(LsdError):
+class DecompositionUnavailable(NumericalError):
     """No implemented closed form produces a valid decomposition for the input."""
 
 
-class UnsupportedRawDims(LsdError):
+class UnsupportedRawDims(InputError):
     pass
 
 
-class EmptyFamily(LsdError):
+class EmptyFamily(NumericalError):
     pass
 
 
-class InfeasiblePoint(LsdError):
+class InfeasiblePoint(NumericalError):
     pass
 
 
-class NoDualCertificate(LsdError):
+class NoDualCertificate(NumericalError):
     pass
 
 
-class InvariantViolation(LsdError):
+class InvariantViolation(NumericalError):
     """A computed result failed its own consistency checks."""
 
 
-class ParseError(LsdError):
+class ParseError(InputError):
     pass
 
 
-class UnsupportedSpec(LsdError):
+class UnsupportedSpec(InputError):
     pass

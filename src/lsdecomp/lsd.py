@@ -4,7 +4,9 @@ Each family operation splits rho = lam * rho_s + E with rho_s separable,
 E >= 0 of trace 1 - lam, and lam the largest weight achievable with a
 separable part drawn from the state's own family. Every result is checked
 against the decomposition invariants (reconstruction, PSD residual,
-separable part inside its region) before it is returned.
+separable part inside its region) before it is returned. Bell-diagonal 2x3
+states outside the chambers the closed form covers raise
+DecompositionUnavailable.
 
 Inputs are canonicalized to the chamber the formulas cover: the dominant
 probability (or violated separability inequality) is identified and the
@@ -21,7 +23,6 @@ import numpy as np
 
 from . import matcore, separability, wootters
 from .errors import (
-    BranchInfeasible,
     DecompositionUnavailable,
     DimensionMismatch,
     InvariantViolation,
@@ -40,15 +41,15 @@ from .states import (
     Raw,
     StateSpec,
     Werner,
-    bell_basis_23,
-    build,
     clean_probabilities,
+    dispatch,
     make_bd22,
     make_bd23,
     make_horodecki33,
     make_icd,
     make_isotropic,
     make_multi_iso,
+    make_raw,
     make_werner,
 )
 
@@ -60,15 +61,14 @@ RANK_CUT = 1e-8
 class LSDecomposition:
     """rho = lam * separable_part + entangled_part.
 
-    `entangled_part` is the unnormalized PSD residual of trace 1 - lam;
-    `entangled_normalized` is the corresponding density matrix when lam < 1
-    and None for separable states. `method` names the formula used.
+    `entangled_part` is the unnormalized PSD residual of trace 1 - lam (zero
+    for separable states). `method` names the formula used ("bd22",
+    "wootters", ...), with a "/separable" or "/pure" suffix when lam is 1 or 0.
     """
 
     lam: float
     separable_part: DensityMatrix
     entangled_part: np.ndarray
-    entangled_normalized: DensityMatrix | None
     residual_norm: float
     method: str
 
@@ -114,14 +114,10 @@ def _assemble(
         raise InvariantViolation(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
     _certify_separable(sep, region)
     residual_norm = float(np.linalg.norm(rho.mat - lam * sep.mat - ent))
-    normalized = None
-    if 1.0 - lam > 1e-12:
-        normalized = DensityMatrix(ent / (1.0 - lam), rho.dims)
     return LSDecomposition(
         lam=lam,
         separable_part=sep,
         entangled_part=ent,
-        entangled_normalized=normalized,
         residual_norm=residual_norm,
         method=method,
     )
@@ -132,7 +128,6 @@ def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
         lam=1.0,
         separable_part=rho,
         entangled_part=np.zeros_like(rho.mat),
-        entangled_normalized=None,
         residual_norm=0.0,
         method=method + "/separable",
     )
@@ -279,10 +274,10 @@ def _bd23_orders(p: np.ndarray) -> list[np.ndarray]:
 def lsd_bd23(p) -> LSDecomposition:
     """Optimal split of a Bell-diagonal 2x3 state (pure-residual branch).
 
-    Applies the boundary formula in the chamber of the violated inequality.
-    When no pure-residual chamber formula yields an in-region separable part,
-    the rank-3 branches are tried; if those are infeasible too the state lies
-    outside the covered closed forms and DecompositionUnavailable is raised.
+    Applies the boundary formula in the chamber of the violated inequality
+    and keeps the largest weight whose separable part stays in the region.
+    When no chamber yields one, the state lies outside the covered closed
+    form and DecompositionUnavailable is raised.
     """
     p = clean_probabilities(p, 6)
     rho = make_bd23(p)
@@ -297,75 +292,9 @@ def lsd_bd23(p) -> LSDecomposition:
             candidates.append(dec)
     if candidates:
         return max(candidates, key=lambda d: d.lam)
-
-    for branch in ("A", "B"):
-        for order in _bd23_orders(p):
-            try:
-                dec = lsd_bd23_rank3(p[order], branch)
-            except BranchInfeasible:
-                continue
-            # rebuild the separable part in the original labeling
-            weights = _bd23_weights(dec.separable_part)
-            pprime = np.empty(6)
-            pprime[order] = weights
-            sep = make_bd23(pprime)
-            out = _assemble(
-                rho, dec.lam, sep, f"bd23/rank3{branch}", separability.bd23_region(pprime)
-            )
-            candidates.append(out)
-    if candidates:
-        return max(candidates, key=lambda d: d.lam)
     raise DecompositionUnavailable(
         "state lies outside the chambers covered by the closed-form splits"
     )
-
-
-def _bd23_weights(dm: DensityMatrix) -> np.ndarray:
-    """Diagonal weights of a Bell-diagonal 2x3 state in the six-vector basis."""
-    basis = bell_basis_23()
-    return np.real(np.einsum("ij,jk,ik->i", basis.conj(), dm.mat, basis))
-
-
-def lsd_bd23_rank3(p, branch: str) -> LSDecomposition:
-    """Mixed-residual 2x3 branches with weight pinned on four indices.
-
-    Branch A pins {1, 4, 5, 6}: lam = 1 - (p2 - p1) - (p3 + p4) - (p5 + p6)/4
-    with p'_2, p'_3 solved from normalization and the boundary condition;
-    branch B is the {1, 3, 4, 6} mirror. The result is returned only when all
-    derived weights are valid probabilities, the separable part stays in the
-    region, and the residual is PSD; otherwise BranchInfeasible is raised.
-    """
-    p = clean_probabilities(p, 6)
-    if branch == "A":
-        lam = 1.0 - (p[1] - p[0]) - (p[2] + p[3]) - 0.25 * (p[4] + p[5])
-        if lam <= 1e-12 or lam > 1.0 + 1e-12:
-            raise BranchInfeasible(f"weight {lam} outside (0, 1]")
-        pprime = p / lam
-        pprime[1] = (2.0 * p[0] - p[4] - p[5]) / (2.0 * lam)
-        pprime[2] = (p[4] + p[5] - 4.0 * p[3]) / (4.0 * lam)
-    elif branch == "B":
-        lam = 1.0 - (p[1] - p[0]) - (p[4] + p[5]) - 0.25 * (p[2] + p[3])
-        if lam <= 1e-12 or lam > 1.0 + 1e-12:
-            raise BranchInfeasible(f"weight {lam} outside (0, 1]")
-        pprime = p / lam
-        pprime[1] = (2.0 * p[0] - p[2] - p[3]) / (2.0 * lam)
-        pprime[4] = (p[2] + p[3] - 4.0 * p[5]) / (4.0 * lam)
-    else:
-        raise ValueError(f"branch must be 'A' or 'B', got {branch!r}")
-
-    if np.any(pprime < -1e-12) or np.any(pprime > 1.0 + 1e-12):
-        raise BranchInfeasible(f"derived weights outside [0, 1]: {pprime}")
-    if abs(pprime.sum() - 1.0) > 1e-9:
-        raise BranchInfeasible(f"derived weights sum to {pprime.sum():.12g}")
-    region = separability.bd23_region(pprime)
-    if not region.is_separable:
-        raise BranchInfeasible("derived separable part leaves the region")
-    rho = make_bd23(p)
-    sep = make_bd23(pprime)
-    residual = rho.mat - lam * sep.mat
-    if not matcore.is_psd(residual, RESIDUAL_PSD_TOL):
-        raise BranchInfeasible("residual is not PSD")
-    return _assemble(rho, lam, sep, f"bd23/rank3{branch}", region)
 
 
 # --------------------------------------------------------------------------
@@ -382,8 +311,7 @@ def lsd_werner(d: int, f: float) -> LSDecomposition:
         return _separable_case(rho, "werner")
     lam = 1.0 + float(f)
     sep = make_werner(d, 0.0)
-    region = separability.family_region(Werner(d=int(d), f=0.0))
-    return _assemble(rho, lam, sep, "werner", region)
+    return _assemble(rho, lam, sep, "werner", separability.werner_region(d, 0.0))
 
 
 def lsd_isotropic(d: int, fidelity: float) -> LSDecomposition:
@@ -393,8 +321,7 @@ def lsd_isotropic(d: int, fidelity: float) -> LSDecomposition:
         return _separable_case(rho, "isotropic")
     lam = d * (1.0 - float(fidelity)) / (d - 1.0)
     sep = make_isotropic(d, 1.0 / d)
-    region = separability.family_region(Isotropic(d=int(d), F=1.0 / d))
-    return _assemble(rho, lam, sep, "isotropic", region)
+    return _assemble(rho, lam, sep, "isotropic", separability.isotropic_region(d, 1.0 / d))
 
 
 def lsd_horodecki33(alpha: float) -> LSDecomposition:
@@ -408,8 +335,7 @@ def lsd_horodecki33(alpha: float) -> LSDecomposition:
         return _separable_case(rho, "horodecki33")
     lam = (5.0 - float(alpha)) / 2.0
     sep = make_horodecki33(3.0)
-    region = separability.family_region(Horodecki33(alpha=3.0))
-    return _assemble(rho, lam, sep, "horodecki33", region)
+    return _assemble(rho, lam, sep, "horodecki33", separability.horodecki33_region(3.0))
 
 
 def lsd_multi_iso(d: int, n: int, s: float) -> LSDecomposition:
@@ -420,41 +346,38 @@ def lsd_multi_iso(d: int, n: int, s: float) -> LSDecomposition:
         return _separable_case(rho, "multi_iso")
     lam = (1.0 - float(s)) / (1.0 - s0)
     sep = make_multi_iso(d, n, s0)
-    region = separability.family_region(MultiIso(d=int(d), n=int(n), s=s0))
-    return _assemble(rho, lam, sep, "multi_iso", region)
+    return _assemble(rho, lam, sep, "multi_iso", separability.multi_iso_region(d, n, s0))
 
 
 # --------------------------------------------------------------------------
 # dispatch and verification
 
-def decompose(spec: StateSpec) -> LSDecomposition:
-    """Dispatch a StateSpec to its family decomposition.
+def _lsd_raw(dims, matrix) -> LSDecomposition:
+    """Raw matrices go through the spin-flip route, which covers 2x2 only;
+    other raw dimensions would need a general search and are rejected."""
+    rho = make_raw(dims, matrix)
+    if tuple(rho.dims) != (2, 2):
+        raise UnsupportedRawDims(
+            f"raw decomposition is only supported on 2x2, got dims {rho.dims}"
+        )
+    return lsd_wootters(rho)
 
-    Raw matrices are supported on 2x2 only (routed to the spin-flip method);
-    other raw dimensions would need a general search and are rejected.
-    """
-    if isinstance(spec, BD22):
-        return lsd_bd22(spec.p)
-    if isinstance(spec, ICD):
-        return lsd_icd(spec.theta, spec.p)
-    if isinstance(spec, BD23):
-        return lsd_bd23(spec.p)
-    if isinstance(spec, Werner):
-        return lsd_werner(spec.d, spec.f)
-    if isinstance(spec, Isotropic):
-        return lsd_isotropic(spec.d, spec.F)
-    if isinstance(spec, Horodecki33):
-        return lsd_horodecki33(spec.alpha)
-    if isinstance(spec, MultiIso):
-        return lsd_multi_iso(spec.d, spec.n, spec.s)
-    if isinstance(spec, Raw):
-        rho = build(spec)
-        if tuple(rho.dims) != (2, 2):
-            raise UnsupportedRawDims(
-                f"raw decomposition is only supported on 2x2, got dims {rho.dims}"
-            )
-        return lsd_wootters(rho)
-    raise TypeError(f"unknown state spec {type(spec).__name__}")
+
+_CLOSED_FORMS = {
+    BD22: lsd_bd22,
+    ICD: lsd_icd,
+    BD23: lsd_bd23,
+    Werner: lsd_werner,
+    Isotropic: lsd_isotropic,
+    Horodecki33: lsd_horodecki33,
+    MultiIso: lsd_multi_iso,
+    Raw: _lsd_raw,
+}
+
+
+def decompose(spec: StateSpec) -> LSDecomposition:
+    """Dispatch a StateSpec to its family decomposition."""
+    return dispatch(_CLOSED_FORMS, spec)
 
 
 def verify(rho: DensityMatrix, dec: LSDecomposition) -> VerificationReport:

@@ -86,11 +86,6 @@ def hermitian_eig(a) -> EigenResult:
     return EigenResult(values=w, vectors=v)
 
 
-def min_eigenvalue(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eig(a).values[0])
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product A (x) B."""
     return np.kron(as_matrix(a), as_matrix(b))

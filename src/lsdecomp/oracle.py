@@ -50,10 +50,11 @@ from .states import (
     Werner,
     bell_basis_22,
     bell_basis_23,
-    build,
+    dispatch,
     iso_basis,
     make_horodecki33,
     make_isotropic,
+    make_raw,
     make_werner,
     max_entangled,
 )
@@ -148,14 +149,18 @@ class SeparableFamily:
 
     def warm_start(self, rho_mat: np.ndarray) -> np.ndarray:
         """Feasible point near the projection of the state onto the family
-        coordinates; a plain heuristic start, not a solution."""
+        coordinates; a plain heuristic start, not a solution. Coordinates
+        the state has no weight on are left out of the center when that
+        keeps it feasible, so the start stays inside the state's support."""
         if not self.projective:
             return self.center
         raw = np.real(np.einsum("nij,ji->n", self.gens, rho_mat))
         raw = np.clip(raw, 0.0, None)
         if raw.sum() <= 1e-9 or not np.all(np.isfinite(raw)):
             return self.center
-        return _mix_to_feasible(self.feasible, self.center, raw / raw.sum())
+        local = np.where(raw > SUPPORT_CUT, self.center, 0.0)
+        center = local if self.feasible(local) else self.center
+        return _mix_to_feasible(self.feasible, center, raw / raw.sum())
 
     @property
     def nx(self) -> int:
@@ -362,25 +367,21 @@ def multi_iso_family(d: int, n: int) -> SeparableFamily:
     return _interval_family("multi_iso", (d,) * n, eye, gen, 0.0, s0)
 
 
+_SEARCH_FAMILIES = {
+    BD22: lambda p: bd22_family(),
+    ICD: lambda theta, p: icd_family(theta),
+    BD23: lambda p: bd23_family(),
+    Werner: lambda d, f: werner_family(d),
+    Isotropic: lambda d, fidelity: isotropic_family(d),
+    Horodecki33: lambda alpha: horodecki33_family(),
+    MultiIso: lambda d, n, s: multi_iso_family(d, n),
+    Raw: lambda dims, matrix: wootters_family(make_raw(dims, matrix)),
+}
+
+
 def family_for_spec(spec: StateSpec) -> SeparableFamily:
     """The separable search family matching a state spec."""
-    if isinstance(spec, BD22):
-        return bd22_family()
-    if isinstance(spec, ICD):
-        return icd_family(spec.theta)
-    if isinstance(spec, BD23):
-        return bd23_family()
-    if isinstance(spec, Werner):
-        return werner_family(spec.d)
-    if isinstance(spec, Isotropic):
-        return isotropic_family(spec.d)
-    if isinstance(spec, Horodecki33):
-        return horodecki33_family()
-    if isinstance(spec, MultiIso):
-        return multi_iso_family(spec.d, spec.n)
-    if isinstance(spec, Raw):
-        return wootters_family(build(spec))
-    raise TypeError(f"unknown state spec {type(spec).__name__}")
+    return dispatch(_SEARCH_FAMILIES, spec)
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .states import (
     StateSpec,
     Werner,
     clean_probabilities,
+    dispatch,
 )
 
 SEPARABLE = "separable"
@@ -128,28 +129,44 @@ def multi_iso_threshold(d: int, n: int) -> float:
     return 1.0 / (1.0 + float(d) ** (n - 1))
 
 
+def werner_region(d: int, f: float) -> SeparabilityVerdict:
+    """Werner region test: separable iff 0 <= f <= 1; only f < 0 is entangled."""
+    return _region_verdict(float(f), "werner_f")
+
+
+def isotropic_region(d: int, fidelity: float) -> SeparabilityVerdict:
+    """Isotropic region test: separable iff F <= 1/d."""
+    return _region_verdict(1.0 / d - float(fidelity), "isotropic_fidelity")
+
+
+def horodecki33_region(alpha: float) -> SeparabilityVerdict:
+    """One-parameter 3x3 region test: separable iff alpha <= 3, then bound
+    entangled up to alpha = 4 and distillable above."""
+    margin = 3.0 - float(alpha)
+    if margin >= -REGION_TOL:
+        return _region_verdict(margin, "alpha_range")
+    detail = "bound_entangled" if alpha <= 4.0 else "distillable"
+    return SeparabilityVerdict(status=ENTANGLED, margin=margin, detail=detail)
+
+
+def multi_iso_region(d: int, n: int, s: float) -> SeparabilityVerdict:
+    """Multipartite isotropic region test: separable iff s <= s0."""
+    return _region_verdict(multi_iso_threshold(d, n) - float(s), "multi_iso_threshold")
+
+
+_REGIONS = {
+    BD22: bd22_region,
+    ICD: icd_region,
+    BD23: bd23_region,
+    Werner: werner_region,
+    Isotropic: isotropic_region,
+    Horodecki33: horodecki33_region,
+    MultiIso: multi_iso_region,
+}
+
+
 def family_region(spec: StateSpec) -> SeparabilityVerdict:
     """Closed-form separability verdict for a named family spec."""
-    if isinstance(spec, BD22):
-        return bd22_region(spec.p)
-    if isinstance(spec, ICD):
-        return icd_region(spec.theta, spec.p)
-    if isinstance(spec, BD23):
-        return bd23_region(spec.p)
-    if isinstance(spec, Werner):
-        # separable iff 0 <= f <= 1; only f < 0 is entangled
-        return _region_verdict(float(spec.f), "werner_f")
-    if isinstance(spec, Isotropic):
-        return _region_verdict(1.0 / spec.d - float(spec.F), "isotropic_fidelity")
-    if isinstance(spec, Horodecki33):
-        margin = 3.0 - float(spec.alpha)
-        if margin >= -REGION_TOL:
-            return _region_verdict(margin, "alpha_range")
-        detail = "bound_entangled" if spec.alpha <= 4.0 else "distillable"
-        return SeparabilityVerdict(status=ENTANGLED, margin=margin, detail=detail)
-    if isinstance(spec, MultiIso):
-        margin = multi_iso_threshold(spec.d, spec.n) - float(spec.s)
-        return _region_verdict(margin, "multi_iso_threshold")
     if isinstance(spec, Raw):
         raise RawSpecUnsupported("family_region needs a named family, not a raw matrix")
-    raise TypeError(f"unknown state spec {type(spec).__name__}")
+    return dispatch(_REGIONS, spec)

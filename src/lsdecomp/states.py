@@ -15,8 +15,8 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Union
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class DensityMatrix:
 
 
 # --------------------------------------------------------------------------
-# family parameter records (a tagged union; `build` dispatches on the type)
+# family parameter records (a tagged union; FAMILIES below maps each to its tag)
 
 @dataclass(frozen=True)
 class BD22:
@@ -312,25 +312,53 @@ def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
     return DensityMatrix(mat=mat, dims=(d,) * n)
 
 
+def make_raw(dims, matrix) -> DensityMatrix:
+    """A user-supplied matrix, validated as a density matrix."""
+    try:
+        return DensityMatrix(mat=np.asarray(matrix), dims=tuple(dims))
+    except (ValueError, LsdError) as exc:
+        raise RawValidationFailed(str(exc)) from exc
+
+
+# --------------------------------------------------------------------------
+# the family table: one row per family
+
+@dataclass(frozen=True)
+class Family:
+    """A supported family: its JSON tag, its spec record and its constructor.
+
+    The spec's fields are the family's JSON fields and, in the same order,
+    the arguments of its constructor and of its `lsd_*` split.
+    """
+
+    name: str
+    spec: type
+    make: Callable[..., DensityMatrix]
+
+
+FAMILIES = (
+    Family("bd22", BD22, make_bd22),
+    Family("icd", ICD, make_icd),
+    Family("bd23", BD23, make_bd23),
+    Family("werner", Werner, make_werner),
+    Family("isotropic", Isotropic, make_isotropic),
+    Family("horodecki33", Horodecki33, make_horodecki33),
+    Family("multi_iso", MultiIso, make_multi_iso),
+    Family("raw", Raw, make_raw),
+)
+FAMILY_BY_NAME = {fam.name: fam for fam in FAMILIES}
+FAMILY_BY_SPEC = {fam.spec: fam for fam in FAMILIES}
+_CONSTRUCTORS = {fam.spec: fam.make for fam in FAMILIES}
+
+
+def dispatch(table: dict, spec: StateSpec):
+    """Call the entry for the spec's family in a table keyed by spec type
+    with the spec's field values, in declaration order."""
+    if type(spec) not in table:
+        raise TypeError(f"unknown state spec {type(spec).__name__}")
+    return table[type(spec)](*(getattr(spec, f.name) for f in fields(spec)))
+
+
 def build(spec: StateSpec) -> DensityMatrix:
     """Build the density matrix described by a StateSpec."""
-    if isinstance(spec, BD22):
-        return make_bd22(spec.p)
-    if isinstance(spec, ICD):
-        return make_icd(spec.theta, spec.p)
-    if isinstance(spec, BD23):
-        return make_bd23(spec.p)
-    if isinstance(spec, Werner):
-        return make_werner(spec.d, spec.f)
-    if isinstance(spec, Isotropic):
-        return make_isotropic(spec.d, spec.F)
-    if isinstance(spec, Horodecki33):
-        return make_horodecki33(spec.alpha)
-    if isinstance(spec, MultiIso):
-        return make_multi_iso(spec.d, spec.n, spec.s)
-    if isinstance(spec, Raw):
-        try:
-            return DensityMatrix(mat=np.asarray(spec.matrix), dims=tuple(spec.dims))
-        except (ValueError, LsdError) as exc:
-            raise RawValidationFailed(str(exc)) from exc
-    raise TypeError(f"unknown state spec {type(spec).__name__}")
+    return dispatch(_CONSTRUCTORS, spec)

@@ -61,8 +61,6 @@ def sample_entangled_bd23(rng: np.random.Generator) -> tuple[np.ndarray, lsd.LSD
             dec = lsd.lsd_bd23(p)
         except Exception:
             continue
-        if dec.method.startswith("bd23/rank3"):
-            continue
         return p, dec
 
 

@@ -133,8 +133,10 @@ def test_exit_code_on_parse_error(capsys):
 
 
 def test_exit_code_on_unknown_family(capsys):
-    code, _, err = run_cli(capsys, "decompose", "--input", '{"family":"nope"}')
-    assert code == 2 and "UnsupportedSpec" in err
+    for family in ("nope", "BD22", None, 3, [1], {"a": 1}):
+        spec = json.dumps({"family": family})
+        code, _, err = run_cli(capsys, "decompose", "--input", spec)
+        assert code == 2 and "UnsupportedSpec" in err, family
 
 
 def test_exit_code_on_bad_probabilities(capsys):
@@ -159,3 +161,55 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "status: separable" in out
+
+
+def test_near_threshold_round_trip(capsys):
+    # weakly entangled states just past each threshold decompose and verify
+    for eps in (10.0**-k for k in range(4, 13)):
+        rest = (0.5 - eps) / 3.0
+        for spec in (
+            {"family": "bd22", "p": [0.5 + eps, rest, rest, rest]},
+            {"family": "werner", "d": 3, "f": -eps},
+            {"family": "isotropic", "d": 3, "F": 1 / 3 + eps},
+            {"family": "horodecki33", "alpha": 3 + eps},
+            {"family": "multi_iso", "d": 2, "n": 3, "s": 0.2 + eps},
+        ):
+            code, out, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+            assert code == 0, (spec, err)
+            verdict = run_json(capsys, "verify", "--input", out)
+            assert verdict["all_ok"] is True, spec
+
+
+NUMERICAL_ERRORS = {
+    "DecompositionUnavailable",
+    "DegenerateBasis",
+    "EmptyFamily",
+    "InfeasiblePoint",
+    "InvariantViolation",
+    "NoConvergence",
+    "NoDualCertificate",
+    "NotPSD",
+}
+
+
+def test_exit_code_follows_error_base(capsys, monkeypatch):
+    from lsdecomp import errors
+
+    classes = [
+        cls for cls in vars(errors).values()
+        if isinstance(cls, type) and issubclass(cls, errors.LsdError)
+        and cls not in (errors.LsdError, errors.InputError, errors.NumericalError)
+    ]
+    assert NUMERICAL_ERRORS <= {cls.__name__ for cls in classes}
+    for cls in classes:
+        numerical = issubclass(cls, errors.NumericalError)
+        assert numerical != issubclass(cls, errors.InputError)
+        assert numerical == (cls.__name__ in NUMERICAL_ERRORS)
+
+        def fail(obj, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "parse_spec", fail)
+        code, _, err = run_cli(capsys, "decompose", "--input", "{}")
+        assert code == (3 if numerical else 2), cls.__name__
+        assert cls.__name__ in err

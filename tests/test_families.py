@@ -1,0 +1,79 @@
+"""The family table: every family is declared once and reaches every layer."""
+
+import json
+import typing
+
+import numpy as np
+import pytest
+
+from lsdecomp import cli, lsd, oracle, separability
+from lsdecomp import states as st
+from lsdecomp.errors import RawSpecUnsupported
+
+SAMPLES = [
+    st.BD22(p=(0.7, 0.1, 0.1, 0.1)),
+    st.ICD(theta=0.6, p=(0.6, 0.2, 0.1, 0.1)),
+    st.BD23(p=(0.5, 0.1, 0.1, 0.1, 0.1, 0.1)),
+    st.Werner(d=3, f=-0.5),
+    st.Isotropic(d=3, F=0.5),
+    st.Horodecki33(alpha=4.0),
+    st.MultiIso(d=2, n=3, s=0.6),
+    st.Raw(dims=(2, 2), matrix=st.make_bd22([0.7, 0.1, 0.1, 0.1]).mat),
+]
+
+
+def test_samples_cover_every_family():
+    members = set(typing.get_args(st.StateSpec))
+    assert {type(s) for s in SAMPLES} == members
+    assert {fam.spec for fam in st.FAMILIES} == members
+    assert len({fam.name for fam in st.FAMILIES}) == len(st.FAMILIES)
+
+
+@pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: type(s).__name__)
+def test_json_round_trip(spec):
+    obj = cli.spec_to_json(spec)
+    again = cli.parse_spec(json.loads(json.dumps(obj)))
+    assert type(again) is type(spec)
+    if isinstance(spec, st.Raw):
+        assert again.dims == spec.dims
+        assert np.array_equal(again.matrix, spec.matrix)
+    else:
+        assert again == spec
+        assert cli.spec_to_json(again) == obj
+
+
+@pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: type(s).__name__)
+def test_every_layer_has_an_entry(spec):
+    rho = st.build(spec)
+    assert isinstance(rho, st.DensityMatrix)
+    assert isinstance(lsd.decompose(spec), lsd.LSDecomposition)
+    fam = oracle.family_for_spec(spec)
+    assert fam.dims == rho.dims
+    if isinstance(spec, st.Raw):
+        with pytest.raises(RawSpecUnsupported):
+            separability.family_region(spec)
+    else:
+        assert separability.family_region(spec).status == separability.ENTANGLED
+
+
+def test_unknown_spec_type_is_rejected():
+    class NotASpec:
+        pass
+
+    for dispatcher in (st.build, lsd.decompose, oracle.family_for_spec,
+                       separability.family_region):
+        with pytest.raises(TypeError):
+            dispatcher(NotASpec())
+
+
+@pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: type(s).__name__)
+def test_missing_field_exits_2(spec, capsys):
+    obj = cli.spec_to_json(spec)
+    for key in obj:
+        if key in ("family", "im"):
+            continue
+        partial = {k: v for k, v in obj.items() if k != key}
+        code = cli.main(["decompose", "--input", json.dumps(partial)])
+        assert code == 2, key
+        assert "ParseError" in capsys.readouterr().err
+

@@ -10,13 +10,13 @@ from lsdecomp import separability as sep
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
 from lsdecomp.errors import (
-    BranchInfeasible,
     DimensionMismatch,
     UnsupportedRawDims,
     WrongDims,
 )
 
 from helpers import (
+    ginibre_state,
     sample_entangled_2q,
     sample_entangled_bd22,
     sample_entangled_bd23,
@@ -53,7 +53,6 @@ def test_bd22_weight_and_parts():
 def test_bd22_boundary_and_vertex():
     dec = lsd.lsd_bd22([0.5, 0.3, 0.1, 0.1])
     assert dec.lam == 1.0
-    assert dec.entangled_normalized is None
     assert np.linalg.norm(dec.entangled_part) == 0.0
     dec = lsd.lsd_bd22([1, 0, 0, 0])
     assert dec.lam == 0.0
@@ -248,40 +247,11 @@ def test_bd23_random_instances():
         assert report.residual_rank == 1
 
 
-def test_bd23_rank3_branch_feasible_instance():
-    p = [0.3, 0.2, 0.2, 0.0, 0.2, 0.1]
-    dec = lsd.lsd_bd23_rank3(p, "A")
-    assert dec.lam == pytest.approx(0.825, abs=1e-12)
-    report = lsd.verify(st.make_bd23(p), dec)
-    assert report.residual_norm <= 1e-10
-    assert report.residual_min_eig >= -1e-9
-    assert report.separable_verdict.status == sep.SEPARABLE
-
-
-def test_bd23_rank3_feasible_found_by_search():
-    rng = np.random.default_rng(8)
-    found = 0
-    for _ in range(4000):
-        p = rng.dirichlet(np.ones(6))
-        for branch in ("A", "B"):
-            try:
-                dec = lsd.lsd_bd23_rank3(p, branch)
-            except BranchInfeasible:
-                continue
-            found += 1
-            report = lsd.verify(st.make_bd23(p), dec)
-            assert report.residual_norm <= 1e-10
-            assert report.residual_min_eig >= -1e-9
-        if found >= 3:
-            break
-    assert found >= 1
-
-
 def test_bd23_uncovered_chambers_raise():
     from lsdecomp.errors import DecompositionUnavailable
 
     # single violated inequality, but the pure-residual separable part
-    # leaves the region and no rank-3 branch validates
+    # leaves the region
     with pytest.raises(DecompositionUnavailable):
         lsd.lsd_bd23([0.71, 0.0, 0.21, 0.0, 0.08, 0.0])
     # two violated inequalities
@@ -290,17 +260,6 @@ def test_bd23_uncovered_chambers_raise():
     # the same error propagates through decompose()
     with pytest.raises(DecompositionUnavailable):
         lsd.decompose(st.BD23(p=(0.5, 0.1, 0.3, 0.1, 0.0, 0.0)))
-
-
-def test_bd23_rank3_infeasible_cases():
-    # p5 + p6 < 4 p4 makes the derived p'_3 negative
-    with pytest.raises(BranchInfeasible):
-        lsd.lsd_bd23_rank3([0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "A")
-    # separable input: no entangled residual to assign
-    with pytest.raises(BranchInfeasible):
-        lsd.lsd_bd23_rank3([1 / 6.0] * 6, "A")
-    with pytest.raises(ValueError):
-        lsd.lsd_bd23_rank3([0.5, 0.1, 0.1, 0.1, 0.1, 0.1], "C")
 
 
 # -- one-parameter families -------------------------------------------------
@@ -390,6 +349,40 @@ def test_decompose_dispatch():
     assert lsd.decompose(raw).method.startswith("wootters")
     with pytest.raises(UnsupportedRawDims):
         lsd.decompose(st.Raw(dims=(3, 3), matrix=np.eye(9) / 9))
+
+
+NEAR_THRESHOLD_EPS = [10.0**-k for k in range(4, 13)]
+
+
+def near_threshold_specs(eps: float) -> list:
+    """States a gap eps past each one-parameter separability threshold."""
+    rest = (0.5 - eps) / 3.0
+    return [
+        st.BD22(p=(0.5 + eps, rest, rest, rest)),
+        st.Werner(d=3, f=-eps),
+        st.Isotropic(d=3, F=1.0 / 3.0 + eps),
+        st.Horodecki33(alpha=3.0 + eps),
+        st.MultiIso(d=2, n=3, s=0.2 + eps),
+    ]
+
+
+@pytest.mark.parametrize("eps", NEAR_THRESHOLD_EPS)
+def test_near_threshold_states_decompose(eps):
+    for spec in near_threshold_specs(eps):
+        dec = lsd.decompose(spec)
+        assert dec.lam < 1.0
+        check_decomposition(st.build(spec), dec)
+
+
+def test_raw_ginibre_states_decompose():
+    # includes weakly entangled draws (1239, 1251, 1296, 1368 have
+    # 1 - lam between 3e-5 and 4e-4), where rounding on the residual is
+    # largest relative to its trace
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        rho = ginibre_state(rng, 4, (2, 2))
+        dec = lsd.decompose(st.Raw(dims=(2, 2), matrix=rho.mat))
+        check_decomposition(rho, dec)
 
 
 def test_verify_flags_inflated_weight():

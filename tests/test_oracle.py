@@ -133,6 +133,21 @@ def test_search_matches_closed_forms_random():
         assert abs(lam - dec.lam) <= 1e-6
 
 
+@pytest.mark.parametrize("spec", [
+    st.BD22(p=(0.7, 0.3, 0.0, 0.0)),
+    st.BD22(p=(0.0, 0.2, 0.0, 0.8)),
+    st.BD22(p=(0.9, 0.1, 0.0, 0.0)),
+    st.ICD(theta=0.6, p=(0.7, 0.3, 0.0, 0.0)),
+])
+def test_search_rank_deficient_states(spec):
+    # two zero weights: every candidate with weight on them leaves the
+    # support, so the search has to start inside the support
+    rho = st.build(spec)
+    lam, sigma = orc.bsa_search(rho, orc.family_for_spec(spec))
+    assert abs(lam - lsd.decompose(spec).lam) <= 1e-6
+    assert np.linalg.eigvalsh(rho.mat - lam * sigma.mat)[0] >= -1e-9
+
+
 def test_search_separable_state_reaches_one():
     lam, _ = orc.bsa_search(st.make_werner(2, 0.3), orc.werner_family(2))
     assert lam == pytest.approx(1.0, abs=1e-7)
