@@ -2,8 +2,8 @@
 
 The package splits structured mixed states into the largest possible
 separable part plus a positive remainder, using closed forms for each
-supported family, and re-derives every weight numerically through an
-eigenvalue-based feasibility oracle with duality diagnostics.
+supported family, and re-derives every weight numerically by solving a
+small semidefinite program per state, with duality diagnostics.
 """
 
 from .errors import LsdError

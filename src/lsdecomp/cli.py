@@ -33,9 +33,19 @@ SCHEMA = "lsd-report/1"
 _FIELDS = {fam.name: typing.get_type_hints(fam.spec) for fam in FAMILIES}
 
 
+def _integer(value) -> int:
+    """An integer field: integral numbers are accepted, booleans and
+    fractional or non-finite numbers are not."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _decode(tp, value):
     if typing.get_origin(tp) is tuple:  # a probability vector
         return tuple(float(v) for v in value)
+    if tp is int:
+        return _integer(value)
     return tp(value)
 
 
@@ -52,7 +62,7 @@ def parse_spec(obj) -> StateSpec:
         raise UnsupportedSpec(f"unknown family {family!r}")
     try:
         if family == "raw":
-            dims = tuple(int(v) for v in obj["dims"])
+            dims = tuple(_integer(v) for v in obj["dims"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
             return Raw(dims=dims, matrix=re + 1j * im)
@@ -296,6 +306,10 @@ def _selftest() -> tuple[dict, bool]:
         return abs(rep.gap) < 1e-9 and rep.slackness_residual < 1e-9
 
     run("duality_certificate", duality_ok)
+    run("search_bd22", lambda: abs(oracle.bsa_search(
+        states.make_bd22([0.7, 0.1, 0.1, 0.1]), oracle.bd22_family())[0] - 0.6) < 1e-9)
+    run("search_rank2_bd22", lambda: abs(oracle.bsa_search(
+        states.make_bd22([0.7, 0.3, 0.0, 0.0]), oracle.bd22_family())[0] - 0.6) < 1e-9)
 
     ok = all(flag for _, flag in checks)
     report = {
@@ -359,8 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         if needs_input:
             p.add_argument("--input", required=True, help="path, '-' for stdin, or inline JSON")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance override; the oracle search stops at a duality gap of "
+                            "tol/1000 (at least 1e-12)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="accepted for compatibility; the oracle search is deterministic")
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "decompose":
             p.add_argument("--oracle", action="store_true", help="attach the numeric cross-check")
@@ -393,6 +410,9 @@ def main(argv=None) -> int:
     except LsdError as exc:
         sys.stderr.write(f"error ({type(exc).__name__}): {exc}\n")
         return 3 if isinstance(exc, NumericalError) else 2
+    except np.linalg.LinAlgError as exc:  # a ValueError, but numerical
+        sys.stderr.write(f"error (LinAlgError): {exc}\n")
+        return 3
     except ValueError as exc:
         sys.stderr.write(f"error (ValueError): {exc}\n")
         return 2

@@ -6,27 +6,24 @@ Three layers:
   rho - L sigma PSD for a fixed separable candidate, once analytically (top
   eigenvalue of rho^(-1/2) sigma rho^(-1/2) on the support) and once by pure
   feasibility bisection.
-* `bsa_search` maximizes that weight over a parameterized family of separable
-  candidates by direction-set search: coordinate sweeps with a staged-grid
-  plus golden-section line maximizer, an aggregate-direction step per sweep,
-  seeded random restarts, and a random-direction polish that resolves the
-  tied-ratio corners where pure coordinate moves stall.
+* `bsa_search` maximizes that weight over a family of separable candidates
+  by solving one small semidefinite program. With y = L x the family's
+  problem is linear in y: maximize tr S(y) subject to rho - S(y) >= 0 and
+  the family's region, written as linear rows and 2x2 blocks (Vandenberghe
+  and Boyd, SIAM Rev. 38, 49, 1996). Its optimum is the family-restricted
+  best separable approximation (Lewenstein and Sanpera, PRL 80, 2261,
+  1998). A damped-Newton log-barrier method solves it deterministically to
+  a duality gap of tol/1000, but not below 1e-12.
 * `bsa_as_sdp` / `duality_check` phrase the fixed-candidate problem as a
   one-variable linear matrix inequality and certify an optimum through a
   kernel-supported dual matrix: zero duality gap and complementary slackness
   hold exactly at the true maximum weight.
-
-Candidate states are affine in the search parameters for every family here,
-so the congruence by rho^(-1/2) is precomputed once per state and each
-objective evaluation costs one small Hermitian eigensolve; line searches
-evaluate whole grids of candidates through one batched solve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -35,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     EmptyFamily,
     InfeasiblePoint,
+    NoConvergence,
     NoDualCertificate,
 )
 from .states import (
@@ -61,9 +59,6 @@ from .states import (
 
 SUPPORT_CUT = 1e-11
 LEAK_TOL = 1e-9
-FEAS_EPS = 1e-12
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # --------------------------------------------------------------------------
@@ -128,48 +123,23 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
 
 @dataclass
 class SeparableFamily:
-    """Affine parameterization of separable candidates.
+    """A convex cone of unnormalized separable candidates.
 
-    sigma(x) = (base + sum_k x_k gens[k]) / trace, with `feasible` deciding
-    membership of the separable region. When `projective` is set the
-    parameters are unnormalized mixture weights (any positive scaling of x
-    describes the same state).
+    A point y of the cone stands for S(y) = sum_k y_k gens[k]; the candidate
+    state is S(y) / tr S(y) and its weight inside rho is tr S(y). The cone is
+    cut out by the linear rows `rows @ y >= 0` and by the 2x2 blocks
+    `blocks @ y >= 0` (PSD); `start` lies strictly inside it.
     """
 
     name: str
     dims: tuple[int, ...]
-    gens: np.ndarray
-    base: np.ndarray | None
-    box: tuple[np.ndarray, np.ndarray]
-    feasible: Callable[[np.ndarray], bool]
-    center: np.ndarray
-    sample: Callable[[np.random.Generator], np.ndarray]
-    projective: bool = False
-    region_free: bool = False  # True when `feasible` adds nothing beyond the box
+    gens: np.ndarray  # (m, n, n) Hermitian generators
+    rows: np.ndarray  # (r, m)
+    blocks: np.ndarray  # (b, 2, 2, m)
+    start: np.ndarray  # (m,)
 
-    def warm_start(self, rho_mat: np.ndarray) -> np.ndarray:
-        """Feasible point near the projection of the state onto the family
-        coordinates; a plain heuristic start, not a solution. Coordinates
-        the state has no weight on are left out of the center when that
-        keeps it feasible, so the start stays inside the state's support."""
-        if not self.projective:
-            return self.center
-        raw = np.real(np.einsum("nij,ji->n", self.gens, rho_mat))
-        raw = np.clip(raw, 0.0, None)
-        if raw.sum() <= 1e-9 or not np.all(np.isfinite(raw)):
-            return self.center
-        local = np.where(raw > SUPPORT_CUT, self.center, 0.0)
-        center = local if self.feasible(local) else self.center
-        return _mix_to_feasible(self.feasible, center, raw / raw.sum())
-
-    @property
-    def nx(self) -> int:
-        return self.gens.shape[0]
-
-    def sigma(self, x: np.ndarray) -> np.ndarray:
-        mat = np.tensordot(np.asarray(x, dtype=float), self.gens, axes=1)
-        if self.base is not None:
-            mat = mat + self.base
+    def sigma(self, y: np.ndarray) -> np.ndarray:
+        mat = np.tensordot(np.asarray(y, dtype=float), self.gens, axes=1)
         return mat / np.real(np.trace(mat))
 
 
@@ -177,160 +147,83 @@ def _projectors(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ik->ijk", rows, rows.conj())
 
 
-def _mix_to_feasible(
-    feasible: Callable[[np.ndarray], bool],
-    center: np.ndarray,
-    target: np.ndarray,
-    iters: int = 30,
-) -> np.ndarray:
-    """Largest feasible convex mix of `center` toward `target` (slightly inside)."""
-    if feasible(target):
-        return target
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if feasible((1.0 - mid) * center + mid * target):
-            lo = mid
-        else:
-            hi = mid
-    return (1.0 - 0.95 * lo) * center + 0.95 * lo * target
+def _block(top, off, bottom) -> np.ndarray:
+    """The 2x2 block [[top, off], [off, bottom]], each entry linear in y."""
+    return np.array([[top, off], [off, bottom]], dtype=float)
 
 
-def _simplex_family(name, dims, basis_rows, region_ok) -> SeparableFamily:
-    m = basis_rows.shape[0]
+def _half_rows(m: int) -> np.ndarray:
+    """y >= 0 and 2 y_k <= sum(y): no weight exceeds half the total."""
+    return np.vstack([np.eye(m), np.ones((m, m)) - 2.0 * np.eye(m)])
 
-    def feasible(u: np.ndarray) -> bool:
-        vals = u.tolist() if isinstance(u, np.ndarray) else list(u)
-        s = 0.0
-        for v in vals:
-            if v < -FEAS_EPS:
-                return False
-            s += v
-        if s <= 1e-9:
-            return False
-        return region_ok([v / s for v in vals])
 
-    center = np.full(m, 1.0 / m)
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return _mix_to_feasible(feasible, center, rng.dirichlet(np.ones(m)))
-
+def _cone_family(name, dims, gens, rows, blocks=()) -> SeparableFamily:
+    m = gens.shape[0]
     return SeparableFamily(
         name=name,
         dims=dims,
-        gens=_projectors(basis_rows),
-        base=None,
-        box=(np.zeros(m), np.full(m, 8.0)),
-        feasible=feasible,
-        center=center,
-        sample=sample,
-        projective=True,
+        gens=gens,
+        rows=np.asarray(rows, dtype=float),
+        blocks=np.asarray(blocks, dtype=float).reshape(-1, 2, 2, m),
+        start=np.ones(m),
     )
 
 
 def bd22_family() -> SeparableFamily:
-    return _simplex_family(
-        "bd22", (2, 2), bell_basis_22(), lambda p: max(p) <= 0.5 + FEAS_EPS
-    )
+    return _cone_family("bd22", (2, 2), _projectors(bell_basis_22()), _half_rows(4))
 
 
 def icd_family(theta: float) -> SeparableFamily:
-    s2 = math.sin(2.0 * theta) ** 2
-
-    def region_ok(p) -> bool:
-        p1, p2, p3, p4 = p
-        r34 = math.sqrt(4.0 * p3 * p4 / s2 + (p3 - p4) ** 2)
-        if abs(p1 - p2) > r34 + FEAS_EPS:
-            return False
-        r12 = math.sqrt(4.0 * p1 * p2 / s2 + (p1 - p2) ** 2)
-        return abs(p3 - p4) <= r12 + FEAS_EPS
-
-    return _simplex_family("icd", (2, 2), iso_basis(theta), region_ok)
+    """Two second-order cones ||(y1-y2, c(y3-y4))|| <= (y3+y4)/s and the
+    same with the pairs swapped, s = |sin 2 theta|, c = sqrt(1/s^2 - 1);
+    each is the 2x2 block [[tau + a, b], [b, tau - a]]."""
+    s = abs(math.sin(2.0 * theta))
+    c = math.sqrt(max(1.0 / (s * s) - 1.0, 0.0))
+    u = 1.0 / s
+    blocks = (
+        _block([1, -1, u, u], [0, 0, c, -c], [-1, 1, u, u]),
+        _block([u, u, 1, -1], [c, -c, 0, 0], [u, u, -1, 1]),
+    )
+    return _cone_family("icd", (2, 2), _projectors(iso_basis(theta)), np.eye(4), blocks)
 
 
 def bd23_family() -> SeparableFamily:
-    def region_ok(p) -> bool:
-        a, b, c = p[0] + p[1], p[2] + p[3], p[4] + p[5]
-        return (
-            (p[0] - p[1]) ** 2 <= b * c + FEAS_EPS
-            and (p[2] - p[3]) ** 2 <= c * a + FEAS_EPS
-            and (p[4] - p[5]) ** 2 <= a * b + FEAS_EPS
-        )
-
-    return _simplex_family("bd23", (2, 3), bell_basis_23(), region_ok)
+    """(y1-y2)^2 <= (y3+y4)(y5+y6) and its two cyclic shifts, as 2x2 blocks."""
+    blocks = (
+        _block([0, 0, 1, 1, 0, 0], [1, -1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1]),
+        _block([0, 0, 0, 0, 1, 1], [0, 0, 1, -1, 0, 0], [1, 1, 0, 0, 0, 0]),
+        _block([1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, -1], [0, 0, 1, 1, 0, 0]),
+    )
+    return _cone_family("bd23", (2, 3), _projectors(bell_basis_23()), np.eye(6), blocks)
 
 
 def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     """Candidates sum_i w_i |x'_i><x'_i| over the spin-flip basis of rho.
 
     Separability within the family is the flip-spectrum condition: the
-    largest normalized weight must not exceed the sum of the others.
+    largest normalized weight must not exceed the sum of the others. With
+    two basis vectors that leaves the single candidate of equal weights.
     """
     wd = wootters.wootters_basis(rho)
-    keep = wd.lambdas > 1e-12
-    rows = wd.x_prime_vectors[keep]
-    kvec = wd.k[keep]
-    m = rows.shape[0]
+    gens = _projectors(wd.x_prime_vectors[wd.lambdas > 1e-12])
+    m = gens.shape[0]
     if m < 2:
         raise EmptyFamily("spin-flip basis supports no separable candidates")
-
-    klist = kvec.tolist()
-
-    def feasible(u: np.ndarray) -> bool:
-        vals = u.tolist() if isinstance(u, np.ndarray) else list(u)
-        tr = 0.0
-        for v, kk in zip(vals, klist):
-            if v < -FEAS_EPS:
-                return False
-            tr += v * kk
-        if tr <= 1e-9:
-            return False
-        s = mx = 0.0
-        for v, kk in zip(vals, klist):
-            lam = v / tr
-            if lam * kk > 1.0 + 1e-9:
-                return False
-            s += lam
-            mx = lam if lam > mx else mx
-        return mx <= s - mx + FEAS_EPS
-
-    center = np.ones(m)
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return _mix_to_feasible(feasible, center, rng.dirichlet(np.ones(m)) / kvec)
-
-    return SeparableFamily(
-        name="wootters",
-        dims=(2, 2),
-        gens=_projectors(rows),
-        base=None,
-        box=(np.zeros(m), np.full(m, 8.0)),
-        feasible=feasible,
-        center=center,
-        sample=sample,
-        projective=True,
-    )
+    if m == 2:
+        return _cone_family("wootters", (2, 2), gens.sum(axis=0, keepdims=True), np.eye(1))
+    return _cone_family("wootters", (2, 2), gens, _half_rows(m))
 
 
 def _interval_family(name, dims, base, gen, lo, hi) -> SeparableFamily:
-    box = (np.array([lo]), np.array([hi]))
-
-    def feasible(x: np.ndarray) -> bool:
-        return lo - FEAS_EPS <= float(x[0]) <= hi + FEAS_EPS
-
-    def sample(rng: np.random.Generator) -> np.ndarray:
-        return np.array([rng.uniform(lo, hi)])
-
+    """S = t base + u gen with lo t <= u <= hi t; gen is traceless, so the
+    weight is t."""
     return SeparableFamily(
         name=name,
         dims=dims,
-        gens=np.array([gen]),
-        base=base,
-        box=box,
-        feasible=feasible,
-        center=np.array([0.5 * (lo + hi)]),
-        sample=sample,
-        region_free=True,
+        gens=np.array([base, gen]),
+        rows=np.array([[-lo, 1.0], [hi, -1.0]]),
+        blocks=np.zeros((0, 2, 2, 2)),
+        start=np.array([1.0, 0.5 * (lo + hi)]),
     )
 
 
@@ -385,224 +278,167 @@ def family_for_spec(spec: StateSpec) -> SeparableFamily:
 
 
 # --------------------------------------------------------------------------
-# the search
+# the search: a log-barrier method for one small SDP
 
-class _Objective:
-    """Weight L(x) = trace(x) / max_eig(R sigma_raw(x) R) with leak guard."""
-
-    def __init__(self, rho: DensityMatrix, fam: SeparableFamily):
-        if fam.gens.shape[1] != rho.mat.shape[0]:
-            raise DimensionMismatch(
-                f"family size {fam.gens.shape[1]} != state size {rho.mat.shape[0]}"
-            )
-        r, pi, full_rank = _support_pieces(rho.mat)
-        base = fam.base if fam.base is not None else np.zeros_like(rho.mat)
-        self.m0 = r @ base @ r
-        self.gmats = np.einsum("ij,njk,kl->nil", r, fam.gens, r)
-        self.t0 = float(np.real(np.trace(base)))
-        self.tg = np.real(np.trace(fam.gens, axis1=1, axis2=2)).astype(float)
-        self.full_rank = full_rank
-        if not full_rank:
-            self.l0 = self.t0 - float(np.real(np.trace(pi @ base)))
-            self.lg = self.tg - np.real(np.einsum("ij,nji->n", pi, fam.gens))
-        else:
-            self.l0 = 0.0
-            self.lg = np.zeros(fam.nx)
-
-    def state(self, x: np.ndarray):
-        m = self.m0 + np.tensordot(x, self.gmats, axes=1)
-        tr = self.t0 + float(x @ self.tg)
-        leak = self.l0 + float(x @ self.lg)
-        return m, tr, leak
-
-    def value_from(self, m, tr, leak) -> float:
-        if not self.full_rank and leak > LEAK_TOL * max(tr, 1e-12):
-            return 0.0
-        top = float(np.linalg.eigvalsh(m)[-1])
-        if top <= 0.0:
-            return 0.0
-        return tr / top
-
-    def value(self, x: np.ndarray) -> float:
-        return self.value_from(*self.state(x))
-
-    def value_line(self, m, tr, leak, md, trd, leakd, ts: np.ndarray) -> np.ndarray:
-        """Batched values along m + t*md for an array of offsets t."""
-        mats = m[None, :, :] + ts[:, None, None] * md[None, :, :]
-        tops = np.linalg.eigvalsh(mats)[:, -1]
-        trs = tr + ts * trd
-        vals = np.where(tops > 0.0, trs / np.where(tops > 0.0, tops, 1.0), 0.0)
-        if not self.full_rank:
-            leaks = leak + ts * leakd
-            vals = np.where(leaks > LEAK_TOL * np.maximum(trs, 1e-12), 0.0, vals)
-        return vals
+EPS = 1e-12  # rho + EPS*I - S(y) >= 0 gives a rank-deficient rho an interior
+STEP_UP = 1000.0  # barrier weight factor per centered iterate
+CENTERED = 1.0  # squared Newton decrement below which a point counts as centered
+MAX_NEWTON = 200
+BACKTRACKS = 30  # step halvings tried when a trial point fails to factor
+MIN_GAP = 1e-12  # smallest duality gap the Newton steps still resolve in double precision
+COMMUTE_TOL = 1e-13  # largest off-diagonal entry _commuting_rows may drop
 
 
-def _segment(
-    fam: SeparableFamily, x: np.ndarray, d: np.ndarray, iters: int = 30
-) -> tuple[float, float]:
-    """Feasible parameter interval [t_lo, t_hi] along x + t d, containing 0."""
-    lo_box, hi_box = fam.box
-    t_lo, t_hi = -1e6, 1e6
-    for k in range(x.shape[0]):
-        dk = d[k]
-        if abs(dk) < 1e-15:
-            continue
-        a = (lo_box[k] - x[k]) / dk
-        b = (hi_box[k] - x[k]) / dk
-        if a > b:
-            a, b = b, a
-        t_lo = max(t_lo, a)
-        t_hi = min(t_hi, b)
-    if t_lo > 0.0 or t_hi < 0.0:
-        return 0.0, 0.0
-    if fam.region_free:
-        return t_lo, t_hi
-
-    xl = x.tolist()
-    dl = d.tolist()
-
-    def ok(t: float) -> bool:
-        return fam.feasible([xv + t * dv for xv, dv in zip(xl, dl)])
-
-    def edge(limit: float) -> float:
-        if ok(limit):
-            return limit
-        good, bad = 0.0, limit
-        for _ in range(iters):
-            mid = 0.5 * (good + bad)
-            if ok(mid):
-                good = mid
-            else:
-                bad = mid
-        return good
-
-    return edge(t_lo), edge(t_hi)
+def _commuting_rows(f0: np.ndarray, fk: np.ndarray):
+    """Linear rows (a0, A) equivalent to f0 + sum_k y_k fk[k] >= 0 when all
+    the matrices commute (one eigenbasis then diagonalizes them all), or
+    None. The eigenbasis is that of a generic combination of them."""
+    weights = 1.0 / (np.arange(fk.shape[0]) + math.sqrt(2.0))
+    _, u = np.linalg.eigh(f0 + np.tensordot(weights, fk, axes=1))
+    rot = u.conj().T @ np.concatenate([f0[None], fk]) @ u
+    diag = np.diagonal(rot, axis1=1, axis2=2)
+    off = rot - diag[:, :, None] * np.eye(f0.shape[0])
+    if np.abs(off).max() > COMMUTE_TOL:
+        return None
+    return diag[0].real, diag[1:].real.T
 
 
-_GRID = 17
+def _lmi(rho_mat: np.ndarray, shift: float, fam: SeparableFamily):
+    """The problem as linear rows a0 + A y >= 0 and one block-diagonal matrix
+    inequality f0 + sum_k y_k fk[k] >= 0, possibly 0x0.
 
-
-def _line_max(obj, fam, x, d, fx, m, tr, leak, gtol, seg_iters=30):
-    """Maximize along x + t d; returns (t_best, f_best).
-
-    Staged 17-point grid refinement narrows the bracket by 8x per batched
-    eigensolve; a golden-section pass finishes below `gtol`. Endpoints are
-    always candidates, so boundary maxima are hit exactly.
+    The state constraint rho + shift*I - S(y) >= 0 becomes linear rows when
+    rho and the generators commute, and the first matrix block otherwise;
+    the region's rows and 2x2 blocks follow. Returns (a0, A) and
+    (f0, fk, entries), `entries` being the flat indices of the blocks'
+    entries in an N x N matrix.
     """
-    t_lo, t_hi = _segment(fam, x, d, seg_iters)
-    if t_hi - t_lo < 1e-15:
-        return 0.0, fx
-    md = np.tensordot(d, obj.gmats, axes=1)
-    trd = float(d @ obj.tg)
-    leakd = float(d @ obj.lg) if not obj.full_rank else 0.0
+    m = fam.gens.shape[0]
+    state = rho_mat + shift * np.eye(rho_mat.shape[0])
+    rows = _commuting_rows(state, -fam.gens)
+    parts = [(np.zeros((2, 2)), np.moveaxis(block, -1, 0)) for block in fam.blocks]
+    if rows is None:
+        rows = (np.zeros(0), np.zeros((0, m)))
+        parts.insert(0, (state, -fam.gens))
+    size = sum(p0.shape[0] for p0, _ in parts)
+    dtype = np.result_type(float, *(p0 for p0, _ in parts), *(pk for _, pk in parts))
+    f0 = np.zeros((size, size), dtype=dtype)
+    fk = np.zeros((m, size, size), dtype=dtype)
+    mask = np.zeros((size, size), dtype=bool)
+    at = 0
+    for p0, pk in parts:
+        k = p0.shape[0]
+        f0[at:at + k, at:at + k] = p0
+        fk[:, at:at + k, at:at + k] = pk
+        mask[at:at + k, at:at + k] = True
+        at += k
+    a0 = np.concatenate([rows[0], np.zeros(fam.rows.shape[0])])
+    return (a0, np.vstack([rows[1], fam.rows])), (f0, fk, np.flatnonzero(mask))
 
-    best_t, best_f = 0.0, fx
-    a, b = t_lo, t_hi
-    while b - a > 128.0 * gtol:
-        ts = np.linspace(a, b, _GRID)
-        vals = obj.value_line(m, tr, leak, md, trd, leakd, ts)
-        j = int(np.argmax(vals))
-        if vals[j] > best_f:
-            best_f, best_t = float(vals[j]), float(ts[j])
-        a2 = ts[max(0, j - 1)]
-        b2 = ts[min(_GRID - 1, j + 1)]
-        a, b = float(a2), float(b2)
 
-    def f(t: float) -> float:
-        return obj.value_from(
-            m + t * md, tr + t * trd, leak + t * leakd if not obj.full_rank else 0.0
-        )
-
-    for t, ft in ((a, f(a)), (b, f(b))):
-        if ft > best_f:
-            best_f, best_t = ft, t
-    c = b - _INVPHI * (b - a)
-    e = a + _INVPHI * (b - a)
-    fc, fe = f(c), f(e)
-    for t, ft in ((c, fc), (e, fe)):
-        if ft > best_f:
-            best_f, best_t = ft, t
-    while b - a > gtol:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc > best_f:
-                best_f, best_t = fc, c
+def _line_search(mus: np.ndarray, slope: float) -> float:
+    """Minimizer of the convex h(a) = -slope*a - sum log(1 + a mu) where every
+    1 + a mu >= 0.01, so no slack shrinks more than 100-fold in one step:
+    Newton's method on h', safeguarded by bisection, to a relative
+    precision of 1e-2."""
+    neg = mus[mus < 0.0]
+    lo, hi = 0.0, (-0.99 / neg.min() if neg.size else math.inf)
+    a = min(1.0, 0.5 * hi)
+    for _ in range(50):
+        r = mus / (1.0 + a * mus)
+        d1 = -slope - r.sum()
+        if d1 < 0.0:
+            lo = a
         else:
-            a, c, fc = c, e, fe
-            e = a + _INVPHI * (b - a)
-            fe = f(e)
-            if fe > best_f:
-                best_f, best_t = fe, e
-    return best_t, best_f
+            hi = a
+        step = a - d1 / (r @ r)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * a
+        if abs(step - a) <= 1e-2 * a:
+            return step
+        a = step
+    return a
 
 
-def _sweep_search(obj, fam, x0, fine_gtol, move_tol, max_sweeps):
-    """Coordinate sweeps plus an aggregate-direction line search per sweep.
+def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Maximize c.y subject to a0 + A y > 0 and F(y) = f0 + sum_k y_k fk[k]
+    > 0, from the interior point y.
 
-    Stops once a sweep neither moves the point beyond `move_tol` nor
-    improves the value.
+    Damped-Newton path following on -t c.y + barrier(y). Each Newton step is
+    solved in square-root form: with s = a0 + A y, L a square root of F(y)
+    (L L^H = F(y), from its eigendecomposition) and W_k = L^-1 fk[k] L^-H,
+    the barrier Hessian is the Gram matrix J^T J of the columns
+    J_k = (A_k / s, W_k) and its gradient is -J^T e, e = (1, I). The SVD
+    U S V^T of the column-scaled J gives the step through Q = U and
+    R^-1 = V S^-1, without forming J^T J, which is singular on
+    rank-deficient states; an exact line search along it takes the step
+    length. The barrier weight t starts at the central-path point nearest y
+    and grows by STEP_UP whenever y is centered; the search stops once the
+    central path's duality gap nu/t is at most gap_tol.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    fx = obj.value(x)
-    nx = x.shape[0]
-    basis = np.eye(nx)
-    seg_iters = 14 if fine_gtol > 1e-4 else 28
-    for _ in range(max_sweeps):
-        x_start, f_start = x.copy(), fx
-        m, tr, leak = obj.state(x)
-        for k in range(nx):
-            t, f = _line_max(obj, fam, x, basis[k], fx, m, tr, leak, fine_gtol, seg_iters)
-            if f > fx and t != 0.0:
-                x = x + t * basis[k]
-                fx = f
-                m, tr, leak = obj.state(x)
-        delta = x - x_start
-        dn = float(np.linalg.norm(delta))
-        if dn > 1e-15:
-            t, f = _line_max(obj, fam, x, delta / dn, fx, m, tr, leak, fine_gtol, seg_iters)
-            if f > fx and t != 0.0:
-                x = x + t * (delta / dn)
-                fx = f
-        if fam.projective:
-            s = float(x.sum())
-            if s > 1e-9:
-                x = x / s
-            fx = obj.value(x)
-        if (
-            float(np.max(np.abs(x - x_start))) < move_tol
-            and fx - f_start < 1e-13 * (1.0 + abs(fx))
-        ):
-            break
-    return x, fx
+    a0, a = lin
+    f0, fk, entries = mat
+    m, size = fk.shape[0], fk.shape[1]
+    fk_flat = fk.reshape(m, -1)
+    eye = np.concatenate([np.ones(a.shape[0]), np.eye(size).ravel()[entries]])
+    if np.iscomplexobj(fk):
+        eye = np.concatenate([eye, np.zeros(entries.size)])
+    nu = a.shape[0] + size
 
+    def factor(y):
+        """Row slacks s and a factor L^-1 with L^-1 F(y) L^-H = I at y;
+        LinAlgError outside."""
+        s = a0 + a @ y
+        if not np.all(s > 0.0):
+            raise np.linalg.LinAlgError("a linear slack is not positive")
+        if not size:
+            return s, None
+        evals, vecs = np.linalg.eigh(f0 + (y @ fk_flat).reshape(size, size))
+        if not evals[0] > 0.0:
+            raise np.linalg.LinAlgError("the matrix inequality does not hold strictly")
+        return s, (vecs / np.sqrt(evals)).conj().T
 
-def _polish(obj, fam, x, fx, gtol, rng, max_rounds=3):
-    """Random-direction line searches; escapes corners where tied PSD
-    constraints block every single-coordinate move."""
-    nx = x.shape[0]
-    for _ in range(max_rounds):
-        m, tr, leak = obj.state(x)
-        gained = 0.0
-        for _ in range(nx + 2):
-            d = rng.standard_normal(nx)
-            d /= float(np.linalg.norm(d))
-            t, f = _line_max(obj, fam, x, d, fx, m, tr, leak, gtol)
-            if f > fx and t != 0.0:
-                gained += f - fx
-                x = x + t * d
-                fx = f
-                m, tr, leak = obj.state(x)
-        if fam.projective:
-            s = float(x.sum())
-            if s > 1e-9:
-                x = x / s
-            fx = obj.value(x)
-        if gained < 1e-13 * (1.0 + abs(fx)):
-            break
-    return x, fx
+    s, li = factor(y)
+    t = None
+    for _ in range(MAX_NEWTON):
+        jac = a / s[:, None]
+        if size:
+            w = (li @ fk @ li.conj().T).reshape(m, -1)
+            wk = w[:, entries]
+            if np.iscomplexobj(wk):
+                wk = np.concatenate([wk.real, wk.imag], axis=1)
+            jac = np.concatenate([jac, wk.T])
+        scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", jac, jac))
+        q_mat, sv, vt = np.linalg.svd(jac * scale, full_matrices=False)
+        r_inv = vt.T / sv
+        q = eye @ q_mat  # centering part of the scaled Newton step
+        u = (scale * c) @ r_inv  # objective part, per unit t
+        if t is None:
+            t = max(1.0, -float(u @ q) / float(u @ u))
+        v = q + t * u
+        while v @ v <= CENTERED:
+            if nu / t <= gap_tol:
+                return y
+            t *= STEP_UP
+            v = q + t * u
+        dy = scale * (r_inv @ v)
+        mus = (a @ dy) / s
+        if size:
+            mus = np.concatenate([mus, np.linalg.eigvalsh((dy @ w).reshape(size, size))])
+        step = _line_search(mus, t * float(c @ dy))
+        for _ in range(BACKTRACKS):
+            trial = y + step * dy
+            if not np.all(np.isfinite(trial)):
+                raise NoConvergence("barrier iterate is not finite")
+            try:  # rounding can put a point the line search kept inside outside
+                s, li = factor(trial)
+                break
+            except np.linalg.LinAlgError:
+                step *= 0.5
+        else:
+            raise NoConvergence("no step along the Newton direction stays inside")
+        y = trial
+    raise NoConvergence(f"barrier search did not converge in {MAX_NEWTON} Newton steps")
 
 
 def bsa_search(
@@ -613,31 +449,33 @@ def bsa_search(
 ) -> tuple[float, DensityMatrix]:
     """Maximize the separable weight of `rho` over a candidate family.
 
-    Runs a deterministic center start at full precision, four seeded random
-    restarts at coarse precision (refined only when they win), then polishes
-    the champion along random directions. Returns the best weight and the
-    maximizing candidate.
+    Solves max tr S(y) subject to rho + eps*I - S(y) >= 0 and the family's
+    region by a log-barrier method, to a duality gap of at most tol/1000
+    (but not below MIN_GAP); eps is EPS, plus the size of rho's smallest
+    eigenvalue if that is negative. The search is deterministic; `seed` is
+    accepted and not used. Returns the weight tr S(y) and the maximizing
+    candidate S(y) / tr S(y). Raises NoConvergence when the solver fails.
     """
-    if not family.feasible(family.center):
-        raise EmptyFamily(f"family {family.name} has no feasible center")
-    obj = _Objective(rho, family)
-    fine = max(min(1e-8, tol * 0.1), tol * 0.5)
-
-    x, fx = _sweep_search(obj, family, family.warm_start(rho.mat), fine, tol, 18)
-    if family.nx > 1:
-        for restart in range(1, 5):
-            rng = np.random.default_rng([seed, restart])
-            xr = family.sample(rng)
-            xr, fr = _sweep_search(obj, family, xr, 1e-2, 3e-2, 1)
-            if fr > fx + 1e-10:
-                xr, fr = _sweep_search(obj, family, xr, fine, tol, 18)
-                if fr > fx:
-                    x, fx = xr, fr
-        rng = np.random.default_rng([seed, 4096])
-        x, fx = _polish(obj, family, x, fx, fine, rng)
-
-    sigma = DensityMatrix(family.sigma(x), family.dims)
-    return float(fx), sigma
+    if family.gens.shape[1] != rho.mat.shape[0]:
+        raise DimensionMismatch(
+            f"family size {family.gens.shape[1]} != state size {rho.mat.shape[0]}"
+        )
+    c = np.real(np.trace(family.gens, axis1=1, axis2=2))
+    try:
+        # shift rho by EPS past its smallest eigenvalue, then scale the start
+        # to half its largest step inside the shifted state
+        evals, vecs = np.linalg.eigh(rho.mat)
+        shift = EPS + max(0.0, -float(evals[0]))
+        r = vecs / np.sqrt(evals + shift)
+        s0 = np.tensordot(family.start, family.gens, axes=1)
+        top = float(np.linalg.eigvalsh(r.conj().T @ s0 @ r)[-1])
+        lin, mat = _lmi(rho.mat, shift, family)
+        gap = max(tol / 1000.0, MIN_GAP)
+        y = _barrier_max(lin, mat, c, family.start * (0.5 / top), gap)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"barrier search failed: {exc}") from exc
+    lam = float(c @ y)
+    return lam, DensityMatrix(family.sigma(y), family.dims)
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,10 @@ from .states import (
     Werner,
     clean_probabilities,
     dispatch,
+    horodecki33_params,
+    isotropic_params,
+    multi_iso_params,
+    werner_params,
 )
 
 SEPARABLE = "separable"
@@ -131,18 +135,21 @@ def multi_iso_threshold(d: int, n: int) -> float:
 
 def werner_region(d: int, f: float) -> SeparabilityVerdict:
     """Werner region test: separable iff 0 <= f <= 1; only f < 0 is entangled."""
-    return _region_verdict(float(f), "werner_f")
+    d, f = werner_params(d, f)
+    return _region_verdict(f, "werner_f")
 
 
 def isotropic_region(d: int, fidelity: float) -> SeparabilityVerdict:
     """Isotropic region test: separable iff F <= 1/d."""
-    return _region_verdict(1.0 / d - float(fidelity), "isotropic_fidelity")
+    d, fidelity = isotropic_params(d, fidelity)
+    return _region_verdict(1.0 / d - fidelity, "isotropic_fidelity")
 
 
 def horodecki33_region(alpha: float) -> SeparabilityVerdict:
     """One-parameter 3x3 region test: separable iff alpha <= 3, then bound
     entangled up to alpha = 4 and distillable above."""
-    margin = 3.0 - float(alpha)
+    alpha = horodecki33_params(alpha)
+    margin = 3.0 - alpha
     if margin >= -REGION_TOL:
         return _region_verdict(margin, "alpha_range")
     detail = "bound_entangled" if alpha <= 4.0 else "distillable"
@@ -151,7 +158,8 @@ def horodecki33_region(alpha: float) -> SeparabilityVerdict:
 
 def multi_iso_region(d: int, n: int, s: float) -> SeparabilityVerdict:
     """Multipartite isotropic region test: separable iff s <= s0."""
-    return _region_verdict(multi_iso_threshold(d, n) - float(s), "multi_iso_threshold")
+    d, n, s = multi_iso_params(d, n, s)
+    return _region_verdict(multi_iso_threshold(d, n) - s, "multi_iso_threshold")
 
 
 _REGIONS = {

@@ -235,14 +235,20 @@ def make_bd23(p) -> DensityMatrix:
     return _mixture(bell_basis_23(), p, (2, 3))
 
 
-def make_werner(d: int, f: float) -> DensityMatrix:
-    """Werner state ((d-f)I + (df-1)F) / (d^3-d), f in [-1, 1]."""
+def werner_params(d: int, f: float) -> tuple[int, float]:
+    """(d, f) as numbers, checked against the Werner ranges."""
     d = int(d)
     f = float(f)
     if d < 2:
         raise ParamOutOfRange(f"Werner dimension must be >= 2, got {d}")
     if not (-1.0 - 1e-12 <= f <= 1.0 + 1e-12):
         raise ParamOutOfRange(f"Werner parameter f={f} outside [-1, 1]")
+    return d, f
+
+
+def make_werner(d: int, f: float) -> DensityMatrix:
+    """Werner state ((d-f)I + (df-1)F) / (d^3-d), f in [-1, 1]."""
+    d, f = werner_params(d, f)
     f = min(1.0, max(-1.0, f))
     eye = np.eye(d * d, dtype=np.complex128)
     flip = matcore.swap_operator(d)
@@ -250,14 +256,20 @@ def make_werner(d: int, f: float) -> DensityMatrix:
     return DensityMatrix(mat=mat, dims=(d, d))
 
 
-def make_isotropic(d: int, fidelity: float) -> DensityMatrix:
-    """Isotropic state with fidelity F = <psi+|rho|psi+>, F in [0, 1]."""
+def isotropic_params(d: int, fidelity: float) -> tuple[int, float]:
+    """(d, F) as numbers, checked against the isotropic ranges."""
     d = int(d)
     fidelity = float(fidelity)
     if d < 2:
         raise ParamOutOfRange(f"isotropic dimension must be >= 2, got {d}")
     if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
         raise ParamOutOfRange(f"fidelity F={fidelity} outside [0, 1]")
+    return d, fidelity
+
+
+def make_isotropic(d: int, fidelity: float) -> DensityMatrix:
+    """Isotropic state with fidelity F = <psi+|rho|psi+>, F in [0, 1]."""
+    d, fidelity = isotropic_params(d, fidelity)
     fidelity = min(1.0, max(0.0, fidelity))
     psi = max_entangled(d)
     proj = np.outer(psi, psi.conj())
@@ -282,19 +294,25 @@ def _horodecki_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return proj, sigma_plus, sigma_minus
 
 
-def make_horodecki33(alpha: float) -> DensityMatrix:
-    """One-parameter 3x3 state (2/7)P+ + (alpha/7)s+ + ((5-alpha)/7)s-."""
+def horodecki33_params(alpha: float) -> float:
+    """alpha as a number, checked against [2, 5]."""
     alpha = float(alpha)
     if not (2.0 - 1e-12 <= alpha <= 5.0 + 1e-12):
         raise ParamOutOfRange(f"alpha={alpha} outside [2, 5]")
-    alpha = min(5.0, max(2.0, alpha))
+    return alpha
+
+
+def make_horodecki33(alpha: float) -> DensityMatrix:
+    """One-parameter 3x3 state (2/7)P+ + (alpha/7)s+ + ((5-alpha)/7)s-."""
+    alpha = min(5.0, max(2.0, horodecki33_params(alpha)))
     proj, sigma_plus, sigma_minus = _horodecki_parts()
     mat = (2.0 / 7.0) * proj + (alpha / 7.0) * sigma_plus + ((5.0 - alpha) / 7.0) * sigma_minus
     return DensityMatrix(mat=mat, dims=(3, 3))
 
 
-def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
-    """n-party, d-level mixture (1-s) I/d^n + s |psi+><psi+|."""
+def multi_iso_params(d: int, n: int, s: float) -> tuple[int, int, float]:
+    """(d, n, s) as numbers, checked against the multipartite ranges and
+    the size limit d^n <= 64."""
     d, n = int(d), int(n)
     s = float(s)
     if d < 2:
@@ -303,10 +321,18 @@ def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
         raise ParamOutOfRange(f"party count must be >= 2, got {n}")
     if not (-1e-12 <= s <= 1.0 + 1e-12):
         raise ParamOutOfRange(f"s={s} outside [0, 1]")
+    if n > 64:  # d >= 2, so d^n > 64; checked first so that d**n stays small
+        raise DimensionTooLarge(f"d^n = {d}^{n} exceeds the supported maximum 64")
+    if d**n > 64:
+        raise DimensionTooLarge(f"d^n = {d**n} exceeds the supported maximum 64")
+    return d, n, s
+
+
+def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
+    """n-party, d-level mixture (1-s) I/d^n + s |psi+><psi+|."""
+    d, n, s = multi_iso_params(d, n, s)
     s = min(1.0, max(0.0, s))
     size = d**n
-    if size > 64:
-        raise DimensionTooLarge(f"d^n = {size} exceeds the supported maximum 64")
     psi = max_entangled(d, n)
     mat = (1.0 - s) / size * np.eye(size, dtype=np.complex128) + s * np.outer(psi, psi.conj())
     return DensityMatrix(mat=mat, dims=(d,) * n)

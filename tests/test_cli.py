@@ -213,3 +213,58 @@ def test_exit_code_follows_error_base(capsys, monkeypatch):
         code, _, err = run_cli(capsys, "decompose", "--input", "{}")
         assert code == (3 if numerical else 2), cls.__name__
         assert cls.__name__ in err
+
+
+def test_solver_failures_exit_3(capsys, monkeypatch):
+    # a linear-algebra failure is numerical (exit 3), though LinAlgError is
+    # a ValueError: inside the search it becomes NoConvergence, and a bare
+    # one elsewhere is mapped by the CLI
+    spec = '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(np.linalg, "svd", singular)
+    code, _, err = run_cli(capsys, "oracle", "--input", spec)
+    assert code == 3 and "NoConvergence" in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli.lsd, "decompose", singular)
+    code, _, err = run_cli(capsys, "decompose", "--input", spec)
+    assert code == 3 and "LinAlgError" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "horodecki33", "alpha": 6},
+    {"family": "werner", "d": 1, "f": 0.1},
+    {"family": "multi_iso", "d": 2, "n": 1, "s": 0.5},
+    {"family": "isotropic", "d": 3, "F": 1.5},
+])
+def test_separability_checks_parameter_ranges(capsys, spec):
+    code, _, err = run_cli(capsys, "separability", "--input", json.dumps(spec))
+    assert code == 2 and "ParamOutOfRange" in err
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "werner", "d": 2.7, "f": -0.5},
+    {"family": "werner", "d": True, "f": -0.5},
+    {"family": "multi_iso", "d": 2, "n": 3.5, "s": 0.5},
+    {"family": "raw", "dims": [2.5, 2], "re": (np.eye(4) / 4).tolist()},
+    {"family": "raw", "dims": [True, 4], "re": (np.eye(4) / 4).tolist()},
+])
+def test_parse_spec_rejects_non_integral_integers(capsys, spec):
+    code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+    assert code == 2 and "ParseError" in err
+
+
+def test_parse_spec_accepts_integral_floats(capsys):
+    _, plain, _ = run_cli(capsys, "decompose", "--input", '{"family":"werner","d":3,"f":-0.5}')
+    _, floated, _ = run_cli(capsys, "decompose", "--input", '{"family":"werner","d":3.0,"f":-0.5}')
+    assert floated == plain
+
+
+@pytest.mark.parametrize("command", ["separability", "decompose"])
+def test_huge_party_count_is_rejected(capsys, command):
+    # d^n is never formed for such n: 2^(10^10) would take 1.25 GB
+    spec = '{"family":"multi_iso","d":2,"n":10000000000,"s":0.5}'
+    code, _, err = run_cli(capsys, command, "--input", spec)
+    assert code == 2 and "DimensionTooLarge" in err

@@ -10,6 +10,7 @@ from lsdecomp import states as st
 from lsdecomp.errors import (
     DimensionMismatch,
     InfeasiblePoint,
+    NoConvergence,
     NoDualCertificate,
 )
 
@@ -146,6 +147,65 @@ def test_search_rank_deficient_states(spec):
     lam, sigma = orc.bsa_search(rho, orc.family_for_spec(spec))
     assert abs(lam - lsd.decompose(spec).lam) <= 1e-6
     assert np.linalg.eigvalsh(rho.mat - lam * sigma.mat)[0] >= -1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    # entangled states with a weight near zero
+    st.ICD(theta=0.631792478401638, p=(0.0035284521261180124, 0.55242046807794,
+                                       0.0013215394550032751, 0.4427295403409386)),
+    st.BD23(p=(0.0043524345591888815, 0.0736911069353176, 0.3586149275461722,
+               0.5389321816221228, 0.015884141908899033, 0.0085252074282995)),
+    st.BD22(p=(0.0194305135524357, 0.3513975578595278, 0.5772468019503505,
+               0.05192512663768602)),
+])
+def test_search_reaches_optimum_at_small_weights(spec):
+    rho = st.build(spec)
+    lam, sigma = orc.bsa_search(rho, orc.family_for_spec(spec))
+    assert abs(lam - lsd.decompose(spec).lam) <= 1e-9
+    assert np.linalg.eigvalsh(rho.mat - lam * sigma.mat)[0] >= -1e-9
+
+
+def test_search_icd_near_zero_weights():
+    rng = np.random.default_rng(41)
+    done = 0
+    while done < 200:
+        theta = rng.uniform(0.35, np.pi / 2 - 0.35)
+        p = rng.dirichlet(np.ones(4))
+        if p.min() >= 0.005:
+            continue
+        lam, _ = orc.bsa_search(st.make_icd(theta, p), orc.icd_family(theta))
+        assert abs(lam - lsd.lsd_icd(theta, p).lam) <= 1e-9, (theta, p)
+        done += 1
+
+
+def test_search_ignores_seed():
+    rho = st.make_bd23([0.45, 0.05, 0.2, 0.1, 0.15, 0.05])
+    weights = {orc.bsa_search(rho, orc.bd23_family(), seed=k)[0] for k in range(4)}
+    assert len(weights) == 1
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.0, -1.0])
+def test_search_tolerance_below_the_attainable_gap(tol):
+    # the gap target is floored where double precision still resolves it
+    spec = st.BD23(p=(0.45, 0.05, 0.2, 0.1, 0.15, 0.05))
+    lam, _ = orc.bsa_search(st.build(spec), orc.bd23_family(), tol=tol)
+    assert abs(lam - lsd.decompose(spec).lam) <= 1e-10
+
+
+def test_search_failures_raise_no_convergence(monkeypatch):
+    rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
+    monkeypatch.setattr(orc, "MAX_NEWTON", 2)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        orc.bsa_search(rho, orc.bd22_family())
+    monkeypatch.undo()
+    monkeypatch.setattr(orc, "_line_search", lambda mus, slope: float("nan"))
+    with pytest.raises(NoConvergence, match="not finite"):
+        orc.bsa_search(rho, orc.bd22_family())
+    monkeypatch.undo()
+    # the region is bounded, so every halving of a huge step stays outside
+    monkeypatch.setattr(orc, "_line_search", lambda mus, slope: 1e30)
+    with pytest.raises(NoConvergence, match="stays inside"):
+        orc.bsa_search(rho, orc.bd22_family())
 
 
 def test_search_separable_state_reaches_one():
