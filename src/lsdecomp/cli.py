@@ -16,7 +16,7 @@ import typing
 import numpy as np
 
 from . import lsd, oracle, separability, wootters
-from .errors import LsdError, NumericalError, ParseError, UnsupportedSpec
+from .errors import InputError, LsdError, NumericalError
 from .states import (
     FAMILIES,
     FAMILY_BY_NAME,
@@ -56,10 +56,10 @@ def parse_spec(obj) -> StateSpec:
     real part "re" and an optional imaginary part "im".
     """
     if not isinstance(obj, dict):
-        raise ParseError(f"spec must be a JSON object, got {type(obj).__name__}")
+        raise InputError(f"spec must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
     if not isinstance(family, str) or family not in FAMILY_BY_NAME:
-        raise UnsupportedSpec(f"unknown family {family!r}")
+        raise InputError(f"unknown family {family!r}")
     try:
         if family == "raw":
             dims = tuple(_integer(v) for v in obj["dims"])
@@ -68,7 +68,7 @@ def parse_spec(obj) -> StateSpec:
             return Raw(dims=dims, matrix=re + 1j * im)
         args = {name: _decode(tp, obj[name]) for name, tp in _FIELDS[family].items()}
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed fields for family {family!r}: {exc}") from exc
+        raise InputError(f"malformed fields for family {family!r}: {exc}") from exc
     return FAMILY_BY_NAME[family].spec(**args)
 
 
@@ -109,7 +109,7 @@ def _read_input(path: str) -> dict:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"input is not valid JSON: {exc}") from exc
+        raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
 def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, seed: int) -> dict:
@@ -178,7 +178,7 @@ def _separability_report(spec: StateSpec) -> dict:
 def _concurrence_report(spec: StateSpec) -> dict:
     rho = build(spec)
     if tuple(rho.dims) != (2, 2):
-        raise UnsupportedSpec(f"concurrence needs a 2x2 state, got dims {rho.dims}")
+        raise InputError(f"concurrence needs a 2x2 state, got dims {rho.dims}")
     data = wootters.wootters_basis(rho)
     return {
         "schema": "lsd-concurrence/1",
@@ -204,24 +204,40 @@ def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
     }
 
 
-def _verify_report(report: dict, tol: float | None) -> tuple[dict, bool]:
+def _block_matrix(block) -> np.ndarray:
+    return np.asarray(block["re"], dtype=float) + 1j * np.asarray(block["im"], dtype=float)
+
+
+def _read_report(report) -> tuple[DensityMatrix, float, DensityMatrix, np.ndarray]:
+    """The state, weight, separable part and entangled part of a
+    decomposition report; InputError names the first malformed field."""
+    if not isinstance(report, dict):
+        raise InputError(f"report must be a JSON object, got {type(report).__name__}")
     for key in ("schema", "input", "lambda", "separable"):
         if key not in report:
-            raise ParseError(f"decomposition report misses required key {key!r}")
+            raise InputError(f"decomposition report misses required key {key!r}")
     if report["schema"] != SCHEMA:
-        raise UnsupportedSpec(f"cannot verify schema {report['schema']!r}")
-    spec = parse_spec(report["input"])
-    rho = build(spec)
-    sep_block = report["separable"]
-    sep_mat = np.asarray(sep_block["re"], dtype=float) + 1j * np.asarray(sep_block["im"], dtype=float)
-    sep = DensityMatrix(sep_mat, tuple(sep_block["dims"]))
-    lam = float(report["lambda"])
-    if "entangled" in report:
-        ent = np.asarray(report["entangled"]["re"], dtype=float) + 1j * np.asarray(
-            report["entangled"]["im"], dtype=float
-        )
-    else:
-        ent = np.zeros_like(rho.mat)
+        raise InputError(f"cannot verify schema {report['schema']!r}")
+    rho = build(parse_spec(report["input"]))
+    field = "lambda"
+    try:
+        lam = float(report["lambda"])
+        field = "separable"
+        sep = _block_matrix(report["separable"]), tuple(map(_integer, report["separable"]["dims"]))
+        field = "entangled"
+        ent = (_block_matrix(report["entangled"]) if "entangled" in report
+               else np.zeros_like(rho.mat))
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InputError(f"malformed report field {field!r}: {detail}") from exc
+    if ent.shape != rho.mat.shape:
+        raise InputError(f"malformed report field 'entangled': shape {ent.shape} "
+                         f"does not match the state's {rho.mat.shape}")
+    return rho, lam, DensityMatrix(*sep), ent
+
+
+def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
+    rho, lam, sep, ent = _read_report(report)
     dec = lsd.LSDecomposition(
         lam=lam,
         separable_part=sep,

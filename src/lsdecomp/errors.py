@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 Every error derives from `InputError` or `NumericalError`; the base sets
-the CLI exit code.
+the CLI exit code. The four named numerical outcomes below are the ones a
+caller can act on.
 """
 
 
@@ -9,7 +10,7 @@ class LsdError(Exception):
     """Base class for every error raised by this package."""
 
 
-class InputError(LsdError):
+class InputError(LsdError, ValueError):
     """The input is malformed, out of range or not supported (exit 2)."""
 
 
@@ -17,89 +18,17 @@ class NumericalError(LsdError):
     """A numerical computation failed or could not be certified (exit 3)."""
 
 
-class NotHermitian(InputError):
-    pass
-
-
-class NotSymmetric(InputError):
-    pass
-
-
-class NotPSD(NumericalError):
-    pass
-
-
-class NoConvergence(NumericalError):
-    pass
-
-
-class DimensionMismatch(InputError):
-    pass
-
-
-class NotBipartite(InputError):
-    pass
-
-
-class InvalidProbabilities(InputError):
-    pass
-
-
-class ThetaOutOfRange(InputError):
-    pass
-
-
-class ParamOutOfRange(InputError):
-    pass
-
-
-class DimensionTooLarge(InputError):
-    pass
-
-
-class RawValidationFailed(InputError):
-    pass
-
-
-class RawSpecUnsupported(InputError):
-    pass
-
-
-class WrongDims(InputError):
-    pass
-
-
-class DegenerateBasis(NumericalError):
-    pass
-
-
 class DecompositionUnavailable(NumericalError):
     """No implemented closed form produces a valid decomposition for the input."""
 
 
-class UnsupportedRawDims(InputError):
-    pass
-
-
-class EmptyFamily(NumericalError):
-    pass
+class NoConvergence(NumericalError):
+    """An iterative solver stopped without reaching its tolerance."""
 
 
 class InfeasiblePoint(NumericalError):
-    pass
+    """A point offered for certification violates its constraints."""
 
 
 class NoDualCertificate(NumericalError):
-    pass
-
-
-class InvariantViolation(NumericalError):
-    """A computed result failed its own consistency checks."""
-
-
-class ParseError(InputError):
-    pass
-
-
-class UnsupportedSpec(InputError):
-    pass
+    """No dual matrix certifies the offered point as optimal."""

@@ -22,13 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore, separability, wootters
-from .errors import (
-    DecompositionUnavailable,
-    DimensionMismatch,
-    InvariantViolation,
-    UnsupportedRawDims,
-    WrongDims,
-)
+from .errors import DecompositionUnavailable, InputError, NumericalError
 from .separability import SeparabilityVerdict
 from .states import (
     BD22,
@@ -88,7 +82,7 @@ def _certify_separable(sep: DensityMatrix, region: SeparabilityVerdict | None) -
     if verdict is None:
         verdict = separability.ppt_check(sep)
     if not verdict.is_separable:
-        raise InvariantViolation(
+        raise NumericalError(
             f"separable part failed its separability check: {verdict}"
         )
 
@@ -103,15 +97,15 @@ def _assemble(
     """Validate invariants and package a decomposition with residual rho - lam*sep."""
     lam = float(lam)
     if not (-1e-12 <= lam <= 1.0 + 1e-12):
-        raise InvariantViolation(f"weight {lam} outside [0, 1]")
+        raise NumericalError(f"weight {lam} outside [0, 1]")
     lam = min(1.0, max(0.0, lam))
     ent = rho.mat - lam * sep.mat
     ent = 0.5 * (ent + ent.conj().T)
     if not matcore.is_psd(ent, RESIDUAL_PSD_TOL):
-        raise InvariantViolation("entangled part is not PSD")
+        raise NumericalError("entangled part is not PSD")
     tr = float(np.real(np.trace(ent)))
     if abs(tr - (1.0 - lam)) > 1e-9:
-        raise InvariantViolation(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
+        raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
     _certify_separable(sep, region)
     residual_norm = float(np.linalg.norm(rho.mat - lam * sep.mat - ent))
     return LSDecomposition(
@@ -167,7 +161,8 @@ _ICD_PERMS = {0: (0, 1, 2, 3), 1: (1, 0, 3, 2), 2: (2, 3, 0, 1), 3: (3, 2, 1, 0)
 
 
 def lsd_icd(theta: float, p) -> LSDecomposition:
-    """Optimal split of an iso-concurrence state.
+    """Split of an iso-concurrence state, optimal within the family: the
+    separable part is drawn from iso-concurrence states of the same theta.
 
     In the chamber where p_1 - p_2 exceeds sqrt(4 p3 p4 / sin^2(2 theta)
     + (p3 - p4)^2), the weight is lam = 1 - (p1 - p2) + that root; the
@@ -202,14 +197,15 @@ def lsd_icd(theta: float, p) -> LSDecomposition:
 # generic 2-qubit states through the spin-flip basis
 
 def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
-    """Optimal split of an arbitrary 2-qubit state.
+    """Split of an arbitrary 2-qubit state, optimal within the family of
+    separable states diagonal in its spin-flip basis.
 
     lam = 1 - k_1 C with C the concurrence and k_1 = <x'_1|x'_1>; the
     separable part reweights the spin-flip basis onto its separability
     boundary and the residual is C |x'_1><x'_1|.
     """
     if tuple(rho.dims) != (2, 2):
-        raise WrongDims(f"expected dims (2, 2), got {rho.dims}")
+        raise InputError(f"expected dims (2, 2), got {rho.dims}")
     lam_spec = wootters.wootters_lambdas(rho)
     conc = float(max(0.0, lam_spec[0] - lam_spec[1] - lam_spec[2] - lam_spec[3]))
     if conc <= 1e-12:
@@ -357,7 +353,7 @@ def _lsd_raw(dims, matrix) -> LSDecomposition:
     other raw dimensions would need a general search and are rejected."""
     rho = make_raw(dims, matrix)
     if tuple(rho.dims) != (2, 2):
-        raise UnsupportedRawDims(
+        raise InputError(
             f"raw decomposition is only supported on 2x2, got dims {rho.dims}"
         )
     return lsd_wootters(rho)
@@ -388,7 +384,7 @@ def verify(rho: DensityMatrix, dec: LSDecomposition) -> VerificationReport:
     Rank counts eigenvalues above 1e-8 times the residual trace.
     """
     if dec.separable_part.mat.shape != rho.mat.shape:
-        raise DimensionMismatch(
+        raise InputError(
             f"decomposition size {dec.separable_part.mat.shape} != state {rho.mat.shape}"
         )
     implied = rho.mat - dec.lam * dec.separable_part.mat

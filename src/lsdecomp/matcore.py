@@ -11,13 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NotHermitian,
-    NotPSD,
-    NotSymmetric,
-)
+from .errors import InputError, NoConvergence, NumericalError
 
 HERM_RTOL = 1e-12
 PSD_TOL = 1e-9
@@ -33,9 +27,9 @@ def as_matrix(a) -> np.ndarray:
     """Coerce to a finite complex128 2-d array."""
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d matrix, got ndim={arr.ndim}")
+        raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix contains non-finite entries")
+        raise InputError("matrix contains non-finite entries")
     return arr
 
 
@@ -57,9 +51,9 @@ def is_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> bool:
 def _require_square_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        raise NotHermitian(f"matrix is not square: shape {a.shape}")
+        raise InputError(f"matrix is not square: shape {a.shape}")
     if frob(a - dagger(a)) > rtol * max(1e-300, frob(a)):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
+        raise InputError("matrix is not Hermitian within tolerance")
     return a
 
 
@@ -101,7 +95,7 @@ def partial_transpose(rho, dims, subsystem: str = "B") -> np.ndarray:
     da, db = int(dims[0]), int(dims[1])
     n = da * db
     if rho.shape != (n, n):
-        raise DimensionMismatch(
+        raise InputError(
             f"matrix shape {rho.shape} does not match dims {da}x{db}"
         )
     r = rho.reshape(da, db, da, db)
@@ -110,7 +104,7 @@ def partial_transpose(rho, dims, subsystem: str = "B") -> np.ndarray:
     elif subsystem == "A":
         r = r.transpose(2, 1, 0, 3)
     else:
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
+        raise InputError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     return r.reshape(n, n).copy()
 
 
@@ -125,13 +119,13 @@ def pinv_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
     """A^(-1/2) on the support of a PSD matrix.
 
     Eigenvalues <= tol are treated as zero, so the result satisfies
-    A^(-1/2) A A^(-1/2) = P_support. Raises NotPSD when the smallest
+    A^(-1/2) A A^(-1/2) = P_support. Raises NumericalError when the smallest
     eigenvalue is below -tol*max(1, ||A||_F).
     """
     res = hermitian_eig(a)
     scale = max(1.0, frob(a))
     if res.values[0] < -tol * scale:
-        raise NotPSD(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
+        raise NumericalError(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
     inv = np.where(res.values > tol, 1.0 / np.sqrt(np.maximum(res.values, tol)), 0.0)
     out = (res.vectors * inv) @ dagger(res.vectors)
     return 0.5 * (out + dagger(out))
@@ -142,7 +136,7 @@ def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
     res = hermitian_eig(a)
     scale = max(1.0, frob(a))
     if res.values[0] < -tol * scale:
-        raise NotPSD(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
+        raise NumericalError(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
     root = np.sqrt(np.maximum(res.values, 0.0))
     out = (res.vectors * root) @ dagger(res.vectors)
     return 0.5 * (out + dagger(out))
@@ -178,10 +172,10 @@ def takagi_factorize(s) -> tuple[np.ndarray, np.ndarray]:
     s = as_matrix(s)
     n = s.shape[0]
     if s.shape[0] != s.shape[1]:
-        raise NotSymmetric(f"matrix is not square: shape {s.shape}")
+        raise InputError(f"matrix is not square: shape {s.shape}")
     scale = max(1.0, frob(s))
     if frob(s - s.T) > 1e-12 * scale:
-        raise NotSymmetric("matrix is not complex symmetric within tolerance")
+        raise InputError("matrix is not complex symmetric within tolerance")
 
     x, y = s.real, s.imag
     t = np.block([[x, y], [y, -x]])

@@ -29,11 +29,11 @@ import numpy as np
 
 from . import matcore, separability, wootters
 from .errors import (
-    DimensionMismatch,
-    EmptyFamily,
     InfeasiblePoint,
+    InputError,
     NoConvergence,
     NoDualCertificate,
+    NumericalError,
 )
 from .states import (
     BD22,
@@ -78,7 +78,7 @@ def lambda_max_fixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     0 when sigma has weight outside that support.
     """
     if rho.mat.shape != sigma.mat.shape:
-        raise DimensionMismatch(
+        raise InputError(
             f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
         )
     r, pi, full_rank = _support_pieces(rho.mat)
@@ -100,7 +100,7 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
     below `tol` so the two routes agree to `tol`.
     """
     if rho.mat.shape != sigma.mat.shape:
-        raise DimensionMismatch(
+        raise InputError(
             f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
         )
     psd_tol = min(1e-12, tol * 1e-3)
@@ -208,7 +208,7 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     gens = _projectors(wd.x_prime_vectors[wd.lambdas > 1e-12])
     m = gens.shape[0]
     if m < 2:
-        raise EmptyFamily("spin-flip basis supports no separable candidates")
+        raise NumericalError("spin-flip basis supports no separable candidates")
     if m == 2:
         return _cone_family("wootters", (2, 2), gens.sum(axis=0, keepdims=True), np.eye(1))
     return _cone_family("wootters", (2, 2), gens, _half_rows(m))
@@ -228,10 +228,10 @@ def _interval_family(name, dims, base, gen, lo, hi) -> SeparableFamily:
 
 
 def werner_family(d: int) -> SeparableFamily:
+    base = make_werner(d, 0.0).mat
     scale = d**3 - d
     eye = np.eye(d * d, dtype=np.complex128)
     flip = matcore.swap_operator(d)
-    base = make_werner(d, 0.0).mat
     gen = (d * flip - eye) / scale
     return _interval_family("werner", (d, d), base, gen, 0.0, 1.0)
 
@@ -365,8 +365,8 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
     > 0, from the interior point y.
 
     Damped-Newton path following on -t c.y + barrier(y). Each Newton step is
-    solved in square-root form: with s = a0 + A y, L a square root of F(y)
-    (L L^H = F(y), from its eigendecomposition) and W_k = L^-1 fk[k] L^-H,
+    solved in square-root form: with s = a0 + A y, L = F(y)^(1/2) (from its
+    eigendecomposition, so block-diagonal like F) and W_k = L^-1 fk[k] L^-1,
     the barrier Hessian is the Gram matrix J^T J of the columns
     J_k = (A_k / s, W_k) and its gradient is -J^T e, e = (1, I). The SVD
     U S V^T of the column-scaled J gives the step through Q = U and
@@ -386,8 +386,8 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
     nu = a.shape[0] + size
 
     def factor(y):
-        """Row slacks s and a factor L^-1 with L^-1 F(y) L^-H = I at y;
-        LinAlgError outside."""
+        """Row slacks s and L^-1 = F(y)^(-1/2) at y, which keeps W_k inside
+        F's blocks, where `entries` reads it; LinAlgError outside."""
         s = a0 + a @ y
         if not np.all(s > 0.0):
             raise np.linalg.LinAlgError("a linear slack is not positive")
@@ -396,7 +396,7 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
         evals, vecs = np.linalg.eigh(f0 + (y @ fk_flat).reshape(size, size))
         if not evals[0] > 0.0:
             raise np.linalg.LinAlgError("the matrix inequality does not hold strictly")
-        return s, (vecs / np.sqrt(evals)).conj().T
+        return s, (vecs / np.sqrt(evals)) @ vecs.conj().T
 
     s, li = factor(y)
     t = None
@@ -457,7 +457,7 @@ def bsa_search(
     candidate S(y) / tr S(y). Raises NoConvergence when the solver fails.
     """
     if family.gens.shape[1] != rho.mat.shape[0]:
-        raise DimensionMismatch(
+        raise InputError(
             f"family size {family.gens.shape[1]} != state size {rho.mat.shape[0]}"
         )
     c = np.real(np.trace(family.gens, axis1=1, axis2=2))
@@ -501,7 +501,7 @@ class DualityReport:
 def bsa_as_sdp(rho: DensityMatrix, sigma: DensityMatrix) -> SdpProblem:
     """One-variable LMI whose optimum is minus the maximal separable weight."""
     if rho.mat.shape != sigma.mat.shape:
-        raise DimensionMismatch(
+        raise InputError(
             f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
         )
     return SdpProblem(c=np.array([-1.0]), f0=rho.mat.copy(), fis=(-sigma.mat.copy(),))
@@ -520,7 +520,7 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
     """
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
     if x_hat.shape[0] != len(problem.fis):
-        raise DimensionMismatch(
+        raise InputError(
             f"{x_hat.shape[0]} variables for {len(problem.fis)} constraint matrices"
         )
     f_at = problem.f0 + np.tensordot(x_hat, np.stack(problem.fis), axes=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NotBipartite, RawSpecUnsupported, ThetaOutOfRange
+from .errors import InputError
 from .states import (
     BD22,
     BD23,
@@ -70,7 +70,7 @@ def ppt_check(rho: DensityMatrix, tol: float = PPT_TOL) -> SeparabilityVerdict:
     only inconclusive.
     """
     if len(rho.dims) != 2:
-        raise NotBipartite(f"ppt_check needs exactly two subsystems, got dims {rho.dims}")
+        raise InputError(f"ppt_check needs exactly two subsystems, got dims {rho.dims}")
     pt = matcore.partial_transpose(rho.mat, rho.dims, "B")
     mu = float(np.linalg.eigvalsh(pt)[0])
     decisive = rho.dims[0] * rho.dims[1] <= 6
@@ -103,7 +103,7 @@ def icd_region(theta: float, p) -> SeparabilityVerdict:
     """Iso-concurrence region test; margin is the worst inequality slack."""
     theta = float(theta)
     if not (0.0 < theta < math.pi / 2):
-        raise ThetaOutOfRange(f"theta must lie strictly in (0, pi/2), got {theta}")
+        raise InputError(f"theta must lie strictly in (0, pi/2), got {theta}")
     p = clean_probabilities(p, 4)
     slacks = icd_margins(theta, p)
     worst = int(np.argmin(slacks))
@@ -176,5 +176,5 @@ _REGIONS = {
 def family_region(spec: StateSpec) -> SeparabilityVerdict:
     """Closed-form separability verdict for a named family spec."""
     if isinstance(spec, Raw):
-        raise RawSpecUnsupported("family_region needs a named family, not a raw matrix")
+        raise InputError("family_region needs a named family, not a raw matrix")
     return dispatch(_REGIONS, spec)

@@ -21,17 +21,11 @@ from typing import Callable, Union
 import numpy as np
 
 from . import matcore
-from .errors import (
-    DimensionTooLarge,
-    InvalidProbabilities,
-    LsdError,
-    ParamOutOfRange,
-    RawValidationFailed,
-    ThetaOutOfRange,
-)
+from .errors import InputError
 
 PROB_SUM_TOL = 1e-9
 PROB_ENTRY_TOL = 1e-12
+MAX_SIZE = 64  # largest Hilbert-space dimension of a named family
 
 
 @dataclass(frozen=True)
@@ -47,19 +41,19 @@ class DensityMatrix:
         size = 1
         for d in dims:
             if d < 1:
-                raise ValueError(f"invalid subsystem dimension {d}")
+                raise InputError(f"invalid subsystem dimension {d}")
             size *= d
         if mat.shape != (size, size):
-            raise ValueError(
+            raise InputError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
         if not matcore.is_hermitian(mat):
-            raise ValueError("density matrix is not Hermitian within 1e-12")
+            raise InputError("density matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-12:
-            raise ValueError(f"trace is {tr:.15g}, expected 1 within 1e-12")
+            raise InputError(f"trace is {tr:.15g}, expected 1 within 1e-12")
         if not matcore.is_psd(mat):
-            raise ValueError("density matrix is not PSD within tolerance")
+            raise InputError("density matrix is not PSD within tolerance")
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -126,18 +120,18 @@ def clean_probabilities(p, n: int) -> np.ndarray:
     """Validate an n-point probability vector; renormalize rounding noise.
 
     Entries must lie in [0, 1] and sum to 1 within 1e-9; the vector is then
-    renormalized exactly. Worse violations raise InvalidProbabilities.
+    renormalized exactly. Worse violations raise InputError.
     """
     arr = np.asarray(p, dtype=float)
     if arr.shape != (n,):
-        raise InvalidProbabilities(f"expected {n} probabilities, got shape {arr.shape}")
+        raise InputError(f"expected {n} probabilities, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise InvalidProbabilities("probabilities contain non-finite entries")
+        raise InputError("probabilities contain non-finite entries")
     if np.any(arr < -PROB_ENTRY_TOL) or np.any(arr > 1.0 + PROB_ENTRY_TOL):
-        raise InvalidProbabilities(f"probabilities outside [0, 1]: {arr}")
+        raise InputError(f"probabilities outside [0, 1]: {arr}")
     total = float(arr.sum())
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise InvalidProbabilities(f"probabilities sum to {total:.12g}, not 1")
+        raise InputError(f"probabilities sum to {total:.12g}, not 1")
     return np.clip(arr, 0.0, None) / total
 
 
@@ -224,7 +218,7 @@ def make_icd(theta: float, p) -> DensityMatrix:
     """Iso-concurrence 2-qubit state; theta in (0, pi/2), Bell case at pi/4."""
     theta = float(theta)
     if not (0.0 < theta < math.pi / 2):
-        raise ThetaOutOfRange(f"theta must lie strictly in (0, pi/2), got {theta}")
+        raise InputError(f"theta must lie strictly in (0, pi/2), got {theta}")
     p = clean_probabilities(p, 4)
     return _mixture(iso_basis(theta), p, (2, 2))
 
@@ -236,13 +230,16 @@ def make_bd23(p) -> DensityMatrix:
 
 
 def werner_params(d: int, f: float) -> tuple[int, float]:
-    """(d, f) as numbers, checked against the Werner ranges."""
+    """(d, f) as numbers, checked against the Werner ranges and the size
+    limit d*d <= 64."""
     d = int(d)
     f = float(f)
     if d < 2:
-        raise ParamOutOfRange(f"Werner dimension must be >= 2, got {d}")
+        raise InputError(f"Werner dimension must be >= 2, got {d}")
     if not (-1.0 - 1e-12 <= f <= 1.0 + 1e-12):
-        raise ParamOutOfRange(f"Werner parameter f={f} outside [-1, 1]")
+        raise InputError(f"Werner parameter f={f} outside [-1, 1]")
+    if d * d > MAX_SIZE:
+        raise InputError(f"d*d = {d * d} exceeds the supported maximum {MAX_SIZE}")
     return d, f
 
 
@@ -257,13 +254,16 @@ def make_werner(d: int, f: float) -> DensityMatrix:
 
 
 def isotropic_params(d: int, fidelity: float) -> tuple[int, float]:
-    """(d, F) as numbers, checked against the isotropic ranges."""
+    """(d, F) as numbers, checked against the isotropic ranges and the size
+    limit d*d <= 64."""
     d = int(d)
     fidelity = float(fidelity)
     if d < 2:
-        raise ParamOutOfRange(f"isotropic dimension must be >= 2, got {d}")
+        raise InputError(f"isotropic dimension must be >= 2, got {d}")
     if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
-        raise ParamOutOfRange(f"fidelity F={fidelity} outside [0, 1]")
+        raise InputError(f"fidelity F={fidelity} outside [0, 1]")
+    if d * d > MAX_SIZE:
+        raise InputError(f"d*d = {d * d} exceeds the supported maximum {MAX_SIZE}")
     return d, fidelity
 
 
@@ -298,7 +298,7 @@ def horodecki33_params(alpha: float) -> float:
     """alpha as a number, checked against [2, 5]."""
     alpha = float(alpha)
     if not (2.0 - 1e-12 <= alpha <= 5.0 + 1e-12):
-        raise ParamOutOfRange(f"alpha={alpha} outside [2, 5]")
+        raise InputError(f"alpha={alpha} outside [2, 5]")
     return alpha
 
 
@@ -316,15 +316,15 @@ def multi_iso_params(d: int, n: int, s: float) -> tuple[int, int, float]:
     d, n = int(d), int(n)
     s = float(s)
     if d < 2:
-        raise ParamOutOfRange(f"local dimension must be >= 2, got {d}")
+        raise InputError(f"local dimension must be >= 2, got {d}")
     if n < 2:
-        raise ParamOutOfRange(f"party count must be >= 2, got {n}")
+        raise InputError(f"party count must be >= 2, got {n}")
     if not (-1e-12 <= s <= 1.0 + 1e-12):
-        raise ParamOutOfRange(f"s={s} outside [0, 1]")
-    if n > 64:  # d >= 2, so d^n > 64; checked first so that d**n stays small
-        raise DimensionTooLarge(f"d^n = {d}^{n} exceeds the supported maximum 64")
-    if d**n > 64:
-        raise DimensionTooLarge(f"d^n = {d**n} exceeds the supported maximum 64")
+        raise InputError(f"s={s} outside [0, 1]")
+    if n > MAX_SIZE:  # d >= 2, so d^n > MAX_SIZE; checked first so that d**n stays small
+        raise InputError(f"d^n = {d}^{n} exceeds the supported maximum {MAX_SIZE}")
+    if d**n > MAX_SIZE:
+        raise InputError(f"d^n = {d**n} exceeds the supported maximum {MAX_SIZE}")
     return d, n, s
 
 
@@ -340,10 +340,7 @@ def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
 
 def make_raw(dims, matrix) -> DensityMatrix:
     """A user-supplied matrix, validated as a density matrix."""
-    try:
-        return DensityMatrix(mat=np.asarray(matrix), dims=tuple(dims))
-    except (ValueError, LsdError) as exc:
-        raise RawValidationFailed(str(exc)) from exc
+    return DensityMatrix(mat=np.asarray(matrix), dims=tuple(dims))
 
 
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import DegenerateBasis, WrongDims
+from .errors import InputError, NumericalError
 from .states import DensityMatrix
 
 _YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
@@ -31,7 +31,7 @@ SUPPORT_CUT = 1e-12
 
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if tuple(rho.dims) != (2, 2):
-        raise WrongDims(f"expected dims (2, 2), got {rho.dims}")
+        raise InputError(f"expected dims (2, 2), got {rho.dims}")
 
 
 def spin_flip(rho: DensityMatrix) -> np.ndarray:
@@ -104,7 +104,7 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
     Takes the subnormalized eigenvectors |v_i> of rho, forms the complex
     symmetric overlap matrix tau_ij = <v_i|v~_j> on the support, and rotates
     by the conjugated Takagi unitary of tau so that <x_i|x~_j> = lam_i d_ij
-    with lam_i real nonnegative descending. Raises DegenerateBasis when
+    with lam_i real nonnegative descending. Raises NumericalError when
     lam_1 = 0 (rho rho~ vanishes identically).
     """
     _require_two_qubits(rho)
@@ -118,7 +118,7 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
     lambdas[:rank] = d
 
     if lambdas[0] <= SUPPORT_CUT:
-        raise DegenerateBasis("top spin-flip eigenvalue is zero; |x'_1> undefined")
+        raise NumericalError("top spin-flip eigenvalue is zero; |x'_1> undefined")
 
     xprime = np.zeros_like(xcols)
     k = np.zeros(4)

@@ -92,6 +92,41 @@ def test_verify_rejects_tampered_weight(capsys, tmp_path):
     assert verdict["all_ok"] is False
 
 
+def _broken(report, edit):
+    report = json.loads(json.dumps(report))
+    edit(report)
+    return report
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("lambda", lambda r: r.update({"lambda": None})),
+    ("separable", lambda r: r["separable"].pop("re")),
+    ("entangled", lambda r: r["entangled"].pop("im")),
+    ("separable", lambda r: r.update({"separable": "x"})),
+    ("entangled", lambda r: r["entangled"].update({"re": [[0.0, 0.0], [0.0, 0.0]]})),
+    ("entangled", lambda r: r["entangled"].update(
+        {"re": [[0.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
+    ("separable", lambda r: r["separable"].update({"dims": [None, 2]})),
+    ("separable", lambda r: r["separable"].update({"dims": [[2], 2]})),
+    ("separable", lambda r: r["separable"].update({"dims": ["a", 2]})),
+    ("separable", lambda r: r["separable"].update({"dims": [True, 2]})),
+    ("separable", lambda r: r["separable"].update({"dims": [2.7, 2]})),
+], ids=["lambda_null", "separable_no_re", "entangled_no_im", "separable_not_object",
+        "entangled_re_im_mismatch", "entangled_wrong_shape", "dims_null", "dims_nested",
+        "dims_string", "dims_bool", "dims_fractional"])
+def test_verify_rejects_malformed_reports(capsys, field, edit):
+    report = run_json(capsys, "decompose", "--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}')
+    code, _, err = run_cli(capsys, "verify", "--input", json.dumps(_broken(report, edit)))
+    assert code == 2
+    assert f"error (InputError): malformed report field {field!r}: " in err
+
+
+@pytest.mark.parametrize("report", ['"schema, input, lambda, separable"', "[1, 2]"])
+def test_verify_rejects_a_report_that_is_not_an_object(capsys, report):
+    code, _, err = run_cli(capsys, "verify", "--input", report)
+    assert code == 2 and "error (InputError): report must be a JSON object, got " in err
+
+
 def test_reports_are_deterministic(capsys):
     argv = (
         "decompose",
@@ -129,14 +164,14 @@ def test_raw_input_and_validation_error(capsys):
 
 def test_exit_code_on_parse_error(capsys):
     code, _, err = run_cli(capsys, "decompose", "--input", "{not json")
-    assert code == 2 and "ParseError" in err
+    assert code == 2 and "error (InputError): input is not valid JSON: " in err
 
 
 def test_exit_code_on_unknown_family(capsys):
     for family in ("nope", "BD22", None, 3, [1], {"a": 1}):
         spec = json.dumps({"family": family})
         code, _, err = run_cli(capsys, "decompose", "--input", spec)
-        assert code == 2 and "UnsupportedSpec" in err, family
+        assert code == 2 and f"error (InputError): unknown family {family!r}" in err, family
 
 
 def test_exit_code_on_bad_probabilities(capsys):
@@ -182,13 +217,10 @@ def test_near_threshold_round_trip(capsys):
 
 NUMERICAL_ERRORS = {
     "DecompositionUnavailable",
-    "DegenerateBasis",
-    "EmptyFamily",
     "InfeasiblePoint",
-    "InvariantViolation",
     "NoConvergence",
     "NoDualCertificate",
-    "NotPSD",
+    "NumericalError",
 }
 
 
@@ -198,7 +230,7 @@ def test_exit_code_follows_error_base(capsys, monkeypatch):
     classes = [
         cls for cls in vars(errors).values()
         if isinstance(cls, type) and issubclass(cls, errors.LsdError)
-        and cls not in (errors.LsdError, errors.InputError, errors.NumericalError)
+        and cls is not errors.LsdError
     ]
     assert NUMERICAL_ERRORS <= {cls.__name__ for cls in classes}
     for cls in classes:
@@ -240,8 +272,14 @@ def test_solver_failures_exit_3(capsys, monkeypatch):
     {"family": "isotropic", "d": 3, "F": 1.5},
 ])
 def test_separability_checks_parameter_ranges(capsys, spec):
+    message = {
+        "horodecki33": "alpha=6.0 outside [2, 5]",
+        "werner": "Werner dimension must be >= 2, got 1",
+        "multi_iso": "party count must be >= 2, got 1",
+        "isotropic": "fidelity F=1.5 outside [0, 1]",
+    }[spec["family"]]
     code, _, err = run_cli(capsys, "separability", "--input", json.dumps(spec))
-    assert code == 2 and "ParamOutOfRange" in err
+    assert code == 2 and f"error (InputError): {message}" in err
 
 
 @pytest.mark.parametrize("spec", [
@@ -253,7 +291,8 @@ def test_separability_checks_parameter_ranges(capsys, spec):
 ])
 def test_parse_spec_rejects_non_integral_integers(capsys, spec):
     code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
-    assert code == 2 and "ParseError" in err
+    assert code == 2 and "error (InputError): malformed fields for family" in err
+    assert "expected an integer, got " in err
 
 
 def test_parse_spec_accepts_integral_floats(capsys):
@@ -267,4 +306,19 @@ def test_huge_party_count_is_rejected(capsys, command):
     # d^n is never formed for such n: 2^(10^10) would take 1.25 GB
     spec = '{"family":"multi_iso","d":2,"n":10000000000,"s":0.5}'
     code, _, err = run_cli(capsys, command, "--input", spec)
-    assert code == 2 and "DimensionTooLarge" in err
+    assert code == 2
+    assert "error (InputError): d^n = 2^10000000000 exceeds the supported maximum 64" in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "separability", "oracle"])
+@pytest.mark.parametrize("spec", [
+    {"family": "werner", "d": 9, "f": -0.5},
+    {"family": "isotropic", "d": 9, "F": 0.5},
+], ids=["werner", "isotropic"])
+def test_werner_and_isotropic_sizes_are_capped(capsys, command, spec):
+    # d = 9 would need an 81 x 81 state; the cap is checked before any matrix is built
+    code, _, err = run_cli(capsys, command, "--input", json.dumps(spec))
+    assert code == 2
+    assert "error (InputError): d*d = 81 exceeds the supported maximum 64" in err
+    smaller = json.dumps({**spec, "d": 8})
+    assert run_json(capsys, "decompose", "--input", smaller)["lambda"] < 1.0

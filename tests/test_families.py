@@ -8,7 +8,7 @@ import pytest
 
 from lsdecomp import cli, lsd, oracle, separability
 from lsdecomp import states as st
-from lsdecomp.errors import RawSpecUnsupported
+from lsdecomp.errors import InputError
 
 SAMPLES = [
     st.BD22(p=(0.7, 0.1, 0.1, 0.1)),
@@ -50,7 +50,7 @@ def test_every_layer_has_an_entry(spec):
     fam = oracle.family_for_spec(spec)
     assert fam.dims == rho.dims
     if isinstance(spec, st.Raw):
-        with pytest.raises(RawSpecUnsupported):
+        with pytest.raises(InputError, match="needs a named family, not a raw matrix"):
             separability.family_region(spec)
     else:
         assert separability.family_region(spec).status == separability.ENTANGLED
@@ -75,5 +75,6 @@ def test_missing_field_exits_2(spec, capsys):
         partial = {k: v for k, v in obj.items() if k != key}
         code = cli.main(["decompose", "--input", json.dumps(partial)])
         assert code == 2, key
-        assert "ParseError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error (InputError): malformed fields for family {obj['family']!r}: " in err
 

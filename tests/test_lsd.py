@@ -9,11 +9,7 @@ from lsdecomp import lsd
 from lsdecomp import separability as sep
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
-from lsdecomp.errors import (
-    DimensionMismatch,
-    UnsupportedRawDims,
-    WrongDims,
-)
+from lsdecomp.errors import InputError
 
 from helpers import (
     ginibre_state,
@@ -206,7 +202,7 @@ def test_wootters_random_entangled():
 
 
 def test_wootters_dims_check():
-    with pytest.raises(WrongDims):
+    with pytest.raises(InputError, match=r"expected dims \(2, 2\), got \(2, 3\)"):
         lsd.lsd_wootters(st.make_bd23([1 / 6.0] * 6))
 
 
@@ -347,7 +343,7 @@ def test_decompose_dispatch():
     raw = st.Raw(dims=(2, 2), matrix=st.make_bd22([0.7, 0.1, 0.1, 0.1]).mat)
     assert lsd.decompose(raw).lam == pytest.approx(0.6, abs=1e-8)
     assert lsd.decompose(raw).method.startswith("wootters")
-    with pytest.raises(UnsupportedRawDims):
+    with pytest.raises(InputError, match="raw decomposition is only supported on 2x2"):
         lsd.decompose(st.Raw(dims=(3, 3), matrix=np.eye(9) / 9))
 
 
@@ -398,5 +394,5 @@ def test_verify_flags_inflated_weight():
 
 def test_verify_dimension_mismatch():
     dec = lsd.lsd_bd22([0.7, 0.1, 0.1, 0.1])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"decomposition size \(4, 4\) != state \(6, 6\)"):
         lsd.verify(st.make_bd23([1 / 6.0] * 6), dec)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsdecomp import matcore as mc
-from lsdecomp.errors import DimensionMismatch, NotHermitian, NotPSD, NotSymmetric
+from lsdecomp.errors import InputError, NumericalError
 
 from helpers import random_hermitian, random_unitary
 
@@ -38,9 +38,9 @@ def test_hermitian_eig_reconstruction_and_unitarity(n):
 
 
 def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(InputError, match="matrix is not Hermitian within tolerance"):
         mc.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotHermitian):
+    with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):
         mc.hermitian_eig(np.ones((2, 3)))
 
 
@@ -116,8 +116,10 @@ def test_partial_transpose_subsystem_a_vs_b():
 
 
 def test_partial_transpose_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"matrix shape \(4, 4\) does not match dims 2x3"):
         mc.partial_transpose(np.eye(4), (2, 3))
+    with pytest.raises(InputError, match="subsystem must be 'A' or 'B', got 'C'"):
+        mc.partial_transpose(np.eye(4), (2, 2), "C")
 
 
 def test_is_psd_cases():
@@ -155,7 +157,7 @@ def test_pinv_sqrt_support_projector():
 
 
 def test_pinv_sqrt_rejects_negative():
-    with pytest.raises(NotPSD):
+    with pytest.raises(NumericalError, match="matrix has eigenvalue -1.000e-01 below -tol"):
         mc.pinv_sqrt(np.diag([1.0, -0.1]))
 
 
@@ -212,5 +214,5 @@ def test_takagi_degenerate_and_zero_blocks():
 
 
 def test_takagi_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(InputError, match="matrix is not complex symmetric within tolerance"):
         mc.takagi_factorize(np.array([[0.0, 1.0], [2.0, 0.0]]))

@@ -8,8 +8,8 @@ from lsdecomp import matcore as mc
 from lsdecomp import oracle as orc
 from lsdecomp import states as st
 from lsdecomp.errors import (
-    DimensionMismatch,
     InfeasiblePoint,
+    InputError,
     NoConvergence,
     NoDualCertificate,
 )
@@ -44,7 +44,7 @@ def test_fixed_weight_support_mismatch_is_zero():
 
 
 def test_fixed_weight_dimension_check():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(InputError, match=r"state sizes differ: \(4, 4\) vs \(6, 6\)"):
         orc.lambda_max_fixed(st.make_bd22([0.25] * 4), st.make_bd23([1 / 6.0] * 6))
 
 
@@ -206,6 +206,21 @@ def test_search_failures_raise_no_convergence(monkeypatch):
     monkeypatch.setattr(orc, "_line_search", lambda mus, slope: 1e30)
     with pytest.raises(NoConvergence, match="stays inside"):
         orc.bsa_search(rho, orc.bd22_family())
+
+
+def test_search_reads_matrix_blocks_in_their_own_coordinates():
+    # max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0 is tr rho = 1;
+    # rho does not commute with the generators, so the state constraint and
+    # the region are two 2x2 blocks of one matrix inequality
+    gens = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=complex)
+    region = np.array([[[1, 0, 0], [0, 0, 1]], [[0, 0, 1], [0, 1, 0]]], dtype=float)
+    fam = orc.SeparableFamily(
+        name="psd2", dims=(2,), gens=gens, rows=np.zeros((0, 3)),
+        blocks=region[None], start=np.array([1.0, 1.0, 0.0]),
+    )
+    rho = st.DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]), (2,))
+    lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
+    assert lam == pytest.approx(1.0, abs=1e-9)
 
 
 def test_search_separable_state_reaches_one():

@@ -5,7 +5,7 @@ import pytest
 
 from lsdecomp import separability as sep
 from lsdecomp import states as st
-from lsdecomp.errors import NotBipartite, RawSpecUnsupported
+from lsdecomp.errors import InputError
 
 from helpers import sample_entangled_bd22
 
@@ -29,7 +29,7 @@ def test_ppt_inconclusive_for_bound_entangled_range():
 
 
 def test_ppt_requires_bipartite():
-    with pytest.raises(NotBipartite):
+    with pytest.raises(InputError, match=r"needs exactly two subsystems, got dims \(2, 2, 2\)"):
         sep.ppt_check(st.make_multi_iso(2, 3, 0.2))
 
 
@@ -123,7 +123,7 @@ def test_family_region_multi_iso_threshold():
 
 
 def test_family_region_rejects_raw():
-    with pytest.raises(RawSpecUnsupported):
+    with pytest.raises(InputError, match="family_region needs a named family, not a raw matrix"):
         sep.family_region(st.Raw(dims=(2, 2), matrix=np.eye(4) / 4))
 
 

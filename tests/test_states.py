@@ -5,13 +5,7 @@ import pytest
 
 from lsdecomp import matcore as mc
 from lsdecomp import states as st
-from lsdecomp.errors import (
-    DimensionTooLarge,
-    InvalidProbabilities,
-    ParamOutOfRange,
-    RawValidationFailed,
-    ThetaOutOfRange,
-)
+from lsdecomp.errors import InputError
 
 from helpers import random_unitary
 
@@ -88,9 +82,9 @@ def test_icd_vertex_and_validity():
     psi = st.bell_basis_22()[0]
     assert np.allclose(rho.mat, np.outer(psi, psi.conj()))
     assert_density(st.make_icd(np.pi / 6, [0.6, 0.2, 0.1, 0.1]))
-    with pytest.raises(ThetaOutOfRange):
+    with pytest.raises(InputError, match=r"theta must lie strictly in \(0, pi/2\), got 0.0"):
         st.make_icd(0.0, [0.25] * 4)
-    with pytest.raises(ThetaOutOfRange):
+    with pytest.raises(InputError, match=r"theta must lie strictly in \(0, pi/2\), got 1.57"):
         st.make_icd(np.pi / 2, [0.25] * 4)
 
 
@@ -176,7 +170,7 @@ def test_multi_iso_points():
     assert np.allclose(st.make_multi_iso(d, n, 1.0).mat, np.outer(psi, psi.conj()))
     rho = st.make_multi_iso(2, 3, 0.5)
     assert np.real(psi.conj() @ rho.mat @ psi) == pytest.approx(0.5 + 0.5 / 8, abs=1e-12)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(InputError, match=r"d\^n = 81 exceeds the supported maximum 64"):
         st.make_multi_iso(3, 4, 0.5)
 
 
@@ -193,9 +187,9 @@ def test_every_family_satisfies_density_invariants():
 
 
 def test_probability_validation():
-    with pytest.raises(InvalidProbabilities):
+    with pytest.raises(InputError, match=r"probabilities outside \[0, 1\]"):
         st.make_bd22([0.5, 0.5, 0.5, -0.5])
-    with pytest.raises(InvalidProbabilities):
+    with pytest.raises(InputError, match="probabilities sum to 1.2, not 1"):
         st.make_bd22([0.3, 0.3, 0.3, 0.3])
     # rounding-level noise is renormalized
     rho = st.make_bd22([0.25 + 2e-10, 0.25, 0.25, 0.25])
@@ -203,15 +197,15 @@ def test_probability_validation():
 
 
 def test_param_validation():
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InputError, match="Werner dimension must be >= 2, got 1"):
         st.make_werner(1, 0.0)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InputError, match=r"Werner parameter f=-1.5 outside \[-1, 1\]"):
         st.make_werner(2, -1.5)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InputError, match=r"fidelity F=1.5 outside \[0, 1\]"):
         st.make_isotropic(3, 1.5)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InputError, match=r"alpha=1.0 outside \[2, 5\]"):
         st.make_horodecki33(1.0)
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InputError, match="party count must be >= 2, got 1"):
         st.make_multi_iso(2, 1, 0.5)
 
 
@@ -220,7 +214,25 @@ def test_build_dispatch_and_raw():
     assert np.allclose(st.build(spec).mat, st.make_werner(2, -0.5).mat)
     ok = st.build(st.Raw(dims=(2, 2), matrix=np.eye(4) / 4))
     assert ok.dims == (2, 2)
-    with pytest.raises(RawValidationFailed):
+    with pytest.raises(InputError, match=r"trace is 0.9\+0j, expected 1 within 1e-12"):
         st.build(st.Raw(dims=(2, 2), matrix=np.eye(4) * 0.225))
-    with pytest.raises(RawValidationFailed):
+    with pytest.raises(InputError, match="density matrix is not PSD within tolerance"):
         st.build(st.Raw(dims=(2, 2), matrix=np.diag([1.5, -0.5, 0.0, 0.0])))
+
+
+@pytest.mark.parametrize("mat, dims, message", [
+    (np.eye(4) / 4, (0, 4), "invalid subsystem dimension 0"),
+    (np.eye(4) / 4, (2, 3), r"matrix shape \(4, 4\) does not match dims \(2, 3\)"),
+    (np.array([[0.5, 0.5], [0.0, 0.5]]), (2,), "not Hermitian within 1e-12"),
+    (np.eye(2), (2,), r"trace is 2\+0j, expected 1"),
+    (np.diag([1.5, -0.5]), (2,), "not PSD within tolerance"),
+    (np.full((2, 2), np.nan), (2,), "matrix contains non-finite entries"),
+    (np.ones(4) / 4, (4,), "expected a 2-d matrix, got ndim=1"),
+], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim"])
+def test_density_matrix_rejects_with_input_error(mat, dims, message):
+    # InputError is also a ValueError, so code that catches ValueError still works
+    with pytest.raises(InputError, match=message) as info:
+        st.DensityMatrix(mat, dims)
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(InputError, match=message):
+        st.make_raw(dims, mat)

@@ -6,7 +6,7 @@ import pytest
 from lsdecomp import matcore as mc
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
-from lsdecomp.errors import DegenerateBasis, WrongDims
+from lsdecomp.errors import InputError, NumericalError
 
 from helpers import ginibre_state, random_unitary
 
@@ -35,7 +35,7 @@ def test_spin_flip_maps_00_to_11():
 
 
 def test_spin_flip_requires_two_qubits():
-    with pytest.raises(WrongDims):
+    with pytest.raises(InputError, match=r"expected dims \(2, 2\), got \(2, 3\)"):
         wo.spin_flip(st.make_bd23([1 / 6.0] * 6))
 
 
@@ -140,5 +140,5 @@ def test_basis_degenerate_error():
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
     rho = st.DensityMatrix(np.outer(v, v.conj()), (2, 2))
-    with pytest.raises(DegenerateBasis):
+    with pytest.raises(NumericalError, match="top spin-flip eigenvalue is zero"):
         wo.wootters_basis(rho)

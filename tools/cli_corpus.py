@@ -1,0 +1,347 @@
+"""Run a fixed, seeded corpus of inputs through the lsdecomp CLI, in process.
+
+The corpus holds entangled and separable draws of every family,
+near-threshold, rank-deficient and vertex states, malformed specs, and
+malformed decomposition reports. Each spec runs through `decompose` (plain,
+`--oracle` and `--format text`), `separability`, `concurrence` and
+`oracle`; every report that `decompose` writes is then run through
+`verify`, and `selftest` runs once. The package is imported from the `src`
+directory next to this script, so the output belongs to that checkout.
+
+Each run prints one tab-separated line:
+
+    <run id>  <exit code>  <sha256 of stdout>  <sha256 of stdout with the
+    oracle's lambda_numeric and delta masked>  <those values, or ->  <stderr>
+
+A crash (an exception escaping `cli.main`) is recorded as exit code 1. The
+output of two checkouts can be diffed line by line, or summarized:
+
+    python tools/cli_corpus.py > old.txt            # at the first checkout
+    python tools/cli_corpus.py > new.txt            # at the second
+    python tools/cli_corpus.py --compare old.txt new.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import copy
+import hashlib
+import io
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from lsdecomp import cli  # noqa: E402
+
+COMMANDS = (
+    ("decompose",),
+    ("decompose", "--oracle"),
+    ("decompose", "--format", "text"),
+    ("separability",),
+    ("concurrence",),
+    ("oracle",),
+)
+ORACLE_NUMBERS = re.compile(r'("?(lambda_numeric|delta)"?:\s*)([-+0-9.eEinfatyN]+|null)')
+LABEL = re.compile(r"^error \([A-Za-z]+\): ")
+MULTI_ISO_SIZES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (2, 6), (3, 3), (4, 3), (8, 2))
+SEED = 0  # of the random draws
+PER_FAMILY = 40  # random draws of each family
+SHOWN = 20  # changed runs listed per kind by --compare
+
+
+# --------------------------------------------------------------------------
+# the corpus
+
+def _floats(values) -> list[float]:
+    return [float(v) for v in values]
+
+
+def _raw(rng: np.random.Generator, dims: tuple[int, int], rank: int) -> dict:
+    """A random state of the given rank: G G^dag / tr for a Gaussian G."""
+    n = dims[0] * dims[1]
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    m = g @ g.conj().T
+    m = 0.5 * (m + m.conj().T) / np.real(np.trace(m))
+    return {"family": "raw", "dims": list(dims), "re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def random_specs(rng: np.random.Generator, per_family: int) -> list[tuple[str, dict]]:
+    """`per_family` draws of each family; half of each one-parameter family
+    is drawn from its separable range and half from its entangled range,
+    the others from Dirichlet weights at alpha 1 and 0.4."""
+    out = []
+    for i in range(per_family):
+        alpha = 1.0 if i % 2 == 0 else 0.4
+        entangled = i % 2 == 1
+        d = 2 + i % 4
+        out.append(("bd22", {"family": "bd22", "p": _floats(rng.dirichlet([alpha] * 4))}))
+        out.append(("icd", {
+            "family": "icd",
+            "theta": float(rng.uniform(0.05, math.pi / 2 - 0.05)),
+            "p": _floats(rng.dirichlet([alpha] * 4)),
+        }))
+        out.append(("bd23", {"family": "bd23", "p": _floats(rng.dirichlet([alpha] * 6))}))
+        out.append(("werner", {
+            "family": "werner", "d": d,
+            "f": float(rng.uniform(-1.0, 0.0) if entangled else rng.uniform(0.0, 1.0)),
+        }))
+        out.append(("isotropic", {
+            "family": "isotropic", "d": d,
+            "F": float(rng.uniform(1.0 / d, 1.0) if entangled else rng.uniform(0.0, 1.0 / d)),
+        }))
+        out.append(("horodecki33", {
+            "family": "horodecki33",
+            "alpha": float(rng.uniform(3.0, 5.0) if entangled else rng.uniform(2.0, 3.0)),
+        }))
+        md, mn = MULTI_ISO_SIZES[i % len(MULTI_ISO_SIZES)]
+        s0 = 1.0 / (1.0 + md ** (mn - 1))
+        out.append(("multi_iso", {
+            "family": "multi_iso", "d": md, "n": mn,
+            "s": float(rng.uniform(s0, 1.0) if entangled else rng.uniform(0.0, s0)),
+        }))
+        out.append(("raw", _raw(rng, (2, 2), 1 + i % 4)))
+    out.append(("raw23", _raw(rng, (2, 3), 6)))
+    return out
+
+
+def edge_specs() -> list[tuple[str, dict]]:
+    """Near-threshold, rank-deficient and vertex states, and the largest
+    Werner and isotropic sizes on either side of the d*d <= 64 limit."""
+    out = []
+    for eps in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
+        for sign in (1.0, -1.0):
+            e = sign * eps
+            out += [
+                ("near", {"family": "bd22", "p": [0.5 + e] + [(0.5 - e) / 3.0] * 3}),
+                ("near", {"family": "werner", "d": 3, "f": -e}),
+                ("near", {"family": "isotropic", "d": 3, "F": 1.0 / 3.0 + e}),
+                ("near", {"family": "horodecki33", "alpha": 3.0 + e}),
+                ("near", {"family": "multi_iso", "d": 2, "n": 3, "s": 0.2 + e}),
+            ]
+    bell = np.zeros((4, 4))
+    bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
+    product = np.zeros((4, 4))
+    product[0, 0] = 1.0
+    for p in ([0.9, 0.1, 0, 0], [0.7, 0.3, 0, 0], [1, 0, 0, 0], [0.5, 0.5, 0, 0]):
+        out.append(("rank", {"family": "bd22", "p": p}))
+    for p in ([0.8, 0.2, 0, 0], [0, 0, 0.6, 0.4], [1, 0, 0, 0]):
+        out.append(("rank", {"family": "icd", "theta": 0.3, "p": p}))
+    for p in ([0.8, 0.2, 0, 0, 0, 0], [0.6, 0, 0.4, 0, 0, 0]):
+        out.append(("rank", {"family": "bd23", "p": p}))
+    for m in (bell, product):
+        out.append(("rank", {"family": "raw", "dims": [2, 2], "re": m.tolist()}))
+    out += [
+        ("vertex", {"family": "werner", "d": 2, "f": -1.0}),
+        ("vertex", {"family": "werner", "d": 4, "f": 1.0}),
+        ("vertex", {"family": "isotropic", "d": 3, "F": 1.0}),
+        ("vertex", {"family": "isotropic", "d": 2, "F": 0.0}),
+        ("vertex", {"family": "horodecki33", "alpha": 2.0}),
+        ("vertex", {"family": "horodecki33", "alpha": 5.0}),
+        ("vertex", {"family": "multi_iso", "d": 2, "n": 2, "s": 1.0}),
+        ("vertex", {"family": "multi_iso", "d": 4, "n": 3, "s": 0.0}),
+        ("size", {"family": "werner", "d": 8, "f": -0.5}),
+        ("size", {"family": "isotropic", "d": 8, "F": 0.5}),
+        ("size", {"family": "werner", "d": 9, "f": -0.5}),
+        ("size", {"family": "isotropic", "d": 9, "F": 0.5}),
+        ("size", {"family": "werner", "d": 10, "f": 0.5}),
+        ("size", {"family": "isotropic", "d": 10, "F": 0.05}),
+    ]
+    return out
+
+
+def malformed_inputs() -> list[tuple[str, str]]:
+    """Inputs, as the text given to --input, that no command accepts."""
+    quarter = (np.eye(4) / 4).tolist()
+    specs = [
+        {"family": "nope"}, {"family": "BD22"}, {"family": 3}, {"p": [1, 0, 0, 0]},
+        {"family": "bd22"}, {"family": "bd22", "p": "x"},
+        {"family": "bd22", "p": [0.9, 0.9, 0.1, 0.1]},
+        {"family": "bd22", "p": [1.2, -0.2, 0, 0]},
+        {"family": "bd22", "p": [0.5, 0.5, 0.0]},
+        {"family": "icd", "theta": 0.0, "p": [0.7, 0.1, 0.1, 0.1]},
+        {"family": "icd", "theta": 2.0, "p": [0.7, 0.1, 0.1, 0.1]},
+        {"family": "bd23", "p": [0.5, 0.5, 0, 0, 0, 0.1]},
+        {"family": "werner", "d": 1, "f": 0.1},
+        {"family": "werner", "d": 2.7, "f": -0.5},
+        {"family": "werner", "d": True, "f": -0.5},
+        {"family": "werner", "d": 3, "f": 2.0},
+        {"family": "isotropic", "d": 3, "F": -0.5},
+        {"family": "horodecki33", "alpha": 6},
+        {"family": "multi_iso", "d": 2, "n": 1, "s": 0.5},
+        {"family": "multi_iso", "d": 2, "n": 7, "s": 0.5},
+        {"family": "multi_iso", "d": 2, "n": 10**10, "s": 0.5},
+        {"family": "raw", "dims": [2, 2], "re": (-0.1 * np.eye(4)).tolist()},
+        {"family": "raw", "dims": [2, 2], "re": (np.eye(4) / 2).tolist()},
+        {"family": "raw", "dims": [2, 2], "re": np.triu(np.ones((4, 4)) / 4).tolist()},
+        {"family": "raw", "dims": [2, 3], "re": quarter},
+        {"family": "raw", "dims": [0, 4], "re": quarter},
+        {"family": "raw", "dims": [2, 2], "re": [0.25, 0.25, 0.25, 0.25]},
+        {"family": "raw", "dims": [2.5, 2], "re": quarter},
+        {"family": "raw", "re": quarter},
+        {"family": "raw", "dims": [2, 2, 2], "re": (np.eye(8) / 8).tolist()},
+    ]
+    texts = [json.dumps(s) for s in specs]
+    texts.append('{"family": "raw", "dims": [2, 2], "re": [[NaN, 0, 0, 0], [0, 0.25, 0, 0], '
+                 '[0, 0, 0.25, 0], [0, 0, 0, 0.25]]}')
+    return [("bad", t) for t in texts] + [("bad", "{not json"), ("bad", "[1, 2]"), ("bad", '"x"')]
+
+
+def malformed_reports(report: dict) -> list[tuple[str, object]]:
+    """Damaged copies of a decomposition report that has an entangled block."""
+
+    def edit(fn):
+        rep = copy.deepcopy(report)
+        fn(rep)
+        return rep
+
+    return [
+        ("lambda_null", edit(lambda r: r.update({"lambda": None}))),
+        ("lambda_text", edit(lambda r: r.update({"lambda": "abc"}))),
+        ("lambda_list", edit(lambda r: r.update({"lambda": [0.5]}))),
+        ("lambda_shifted", edit(lambda r: r.update({"lambda": r["lambda"] + 0.01}))),
+        ("no_lambda", edit(lambda r: r.pop("lambda"))),
+        ("bad_schema", edit(lambda r: r.update({"schema": "other/1"}))),
+        ("separable_no_re", edit(lambda r: r["separable"].pop("re"))),
+        ("separable_no_dims", edit(lambda r: r["separable"].pop("dims"))),
+        ("separable_dims_null", edit(lambda r: r["separable"].update({"dims": [None, 2]}))),
+        ("separable_dims_text", edit(lambda r: r["separable"].update({"dims": ["a", 2]}))),
+        ("separable_dims_fraction", edit(lambda r: r["separable"].update({"dims": [2.7, 2]}))),
+        ("separable_text", edit(lambda r: r.update({"separable": "x"}))),
+        ("separable_small", edit(lambda r: r["separable"].update(
+            {"re": (np.eye(2) / 2).tolist(), "im": np.zeros((2, 2)).tolist(), "dims": [2]}))),
+        ("entangled_no_im", edit(lambda r: r["entangled"].pop("im"))),
+        ("entangled_text", edit(lambda r: r.update({"entangled": "x"}))),
+        ("entangled_shape", edit(lambda r: r["entangled"].update(
+            {"re": np.zeros((2, 2)).tolist(), "im": np.zeros((2, 2)).tolist()}))),
+        ("input_unknown", edit(lambda r: r.update({"input": {"family": "nope"}}))),
+        ("string", "a report"),
+        ("string_with_keys", "schema, input, lambda, separable"),
+        ("list", [report]),
+    ]
+
+
+# --------------------------------------------------------------------------
+# running
+
+def run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # noqa: BLE001 - a crash is a result too
+            code = 1
+            err.write(f"crash ({type(exc).__name__}): {exc}\n")
+    return code, out.getvalue(), err.getvalue()
+
+
+def line(run_id: str, code: int, out: str, err: str) -> str:
+    numbers = ",".join(f"{m.group(2)}={m.group(3)}" for m in ORACLE_NUMBERS.finditer(out)) or "-"
+    masked = ORACLE_NUMBERS.sub(lambda m: m.group(1) + "*", out)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    masked_digest = hashlib.sha256(masked.encode()).hexdigest()
+    stderr = err.replace("\\", "\\\\").replace("\n", "\\n").replace("\t", "\\t")
+    return f"{run_id}\t{code}\t{digest}\t{masked_digest}\t{numbers}\t{stderr}"
+
+
+def run_corpus() -> None:
+    rng = np.random.default_rng(SEED)
+    inputs = [(g, json.dumps(s)) for g, s in random_specs(rng, PER_FAMILY) + edge_specs()]
+    inputs += malformed_inputs()
+    for i, (group, text) in enumerate(inputs):
+        for cmd in COMMANDS:
+            code, out, err = run([*cmd, "--input", text])
+            print(line(f"{group}:{i} {' '.join(cmd)}", code, out, err))
+            if cmd == ("decompose",) and code == 0:
+                code, vout, verr = run(["verify", "--input", out])
+                print(line(f"{group}:{i} verify", code, vout, verr))
+    _, base, _ = run(["decompose", "--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'])
+    for name, rep in malformed_reports(json.loads(base)):
+        code, out, err = run(["verify", "--input", json.dumps(rep)])
+        print(line(f"report:{name} verify", code, out, err))
+    print(line("selftest", *run(["selftest"])))
+
+
+# --------------------------------------------------------------------------
+# comparing two outputs
+
+def _read(path: str) -> dict[str, list[str]]:
+    rows = {}
+    with open(path, encoding="utf-8") as fh:
+        for text in fh:
+            fields = text.rstrip("\n").split("\t")
+            rows[fields[0]] = fields[1:]
+    return rows
+
+
+def _largest_change(old: str, new: str) -> float:
+    a = [float(v.split("=")[1]) for v in old.split(",") if not v.endswith(("-", "null"))]
+    b = [float(v.split("=")[1]) for v in new.split(",") if not v.endswith(("-", "null"))]
+    if len(a) != len(b):
+        return math.inf
+    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+
+
+def compare(old_path: str, new_path: str) -> None:
+    """Count the runs by what changed between two outputs of this script,
+    and list the runs whose exit code or unmasked output changed."""
+    old, new = _read(old_path), _read(new_path)
+    counts = {"runs": 0, "identical": 0, "oracle numbers only": 0, "stderr label only": 0}
+    exits: dict[str, list[str]] = {}
+    other = []
+    worst = 0.0
+    for run_id in sorted(old.keys() | new.keys()):
+        if run_id not in old or run_id not in new:
+            other.append(f"{run_id}: only in {'new' if run_id in new else 'old'}")
+            continue
+        counts["runs"] += 1
+        (c0, h0, m0, n0, e0), (c1, h1, m1, n1, e1) = old[run_id], new[run_id]
+        if (c0, h0, e0) == (c1, h1, e1):
+            counts["identical"] += 1
+            continue
+        if c0 != c1:
+            exits.setdefault(f"{c0} -> {c1}", []).append(run_id)
+            continue
+        if h0 != h1 and m0 == m1:
+            counts["oracle numbers only"] += 1
+            worst = max(worst, _largest_change(n0, n1))
+        elif h0 != h1:
+            other.append(f"{run_id}: stdout changed")
+        if e0 != e1:
+            if LABEL.sub("", e0) == LABEL.sub("", e1):
+                counts["stderr label only"] += 1
+            else:
+                other.append(f"{run_id}: stderr {e0!r} -> {e1!r}")
+    for key, value in counts.items():
+        print(f"{key}: {value}")
+    print(f"largest oracle number change: {worst:.3g}")
+    for key, ids in sorted(exits.items()):
+        print(f"exit {key}: {len(ids)}")
+        for run_id in ids[:SHOWN]:
+            print(f"  {run_id}")
+    print(f"other changes: {len(other)}")
+    for text in other[:SHOWN]:
+        print(f"  {text}")
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="summarize the changes between two outputs instead")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        run_corpus()
+
+
+if __name__ == "__main__":
+    main()
