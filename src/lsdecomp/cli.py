@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 
@@ -34,19 +35,27 @@ _FIELDS = {fam.name: typing.get_type_hints(fam.spec) for fam in FAMILIES}
 
 
 def _integer(value) -> int:
-    """An integer field: integral numbers are accepted, booleans and
-    fractional or non-finite numbers are not."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer field: integral JSON numbers are accepted; booleans, text
+    and fractional or non-finite numbers are not."""
+    if type(value) not in (int, float) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
-def _decode(tp, value):
-    if typing.get_origin(tp) is tuple:  # a probability vector
-        return tuple(float(v) for v in value)
-    if tp is int:
-        return _integer(value)
-    return tp(value)
+def _number(value) -> float:
+    """A real field: JSON numbers are accepted; booleans and text are not."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _decode(field: str, tp, value):
+    try:
+        if typing.get_origin(tp) is tuple:  # a probability vector
+            return tuple(_number(v) for v in value)
+        return _integer(value) if tp is int else _number(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {field!r}: {exc}") from exc
 
 
 def parse_spec(obj) -> StateSpec:
@@ -66,7 +75,7 @@ def parse_spec(obj) -> StateSpec:
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
             return Raw(dims=dims, matrix=re + 1j * im)
-        args = {name: _decode(tp, obj[name]) for name, tp in _FIELDS[family].items()}
+        args = {name: _decode(name, tp, obj[name]) for name, tp in _FIELDS[family].items()}
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed fields for family {family!r}: {exc}") from exc
     return FAMILY_BY_NAME[family].spec(**args)
@@ -75,12 +84,7 @@ def parse_spec(obj) -> StateSpec:
 def spec_to_json(spec: StateSpec) -> dict:
     name = FAMILY_BY_SPEC[type(spec)].name
     if name == "raw":
-        return {
-            "family": "raw",
-            "dims": list(spec.dims),
-            "re": np.asarray(spec.matrix).real.tolist(),
-            "im": np.asarray(spec.matrix).imag.tolist(),
-        }
+        return {"family": "raw", **_matrix_block(np.asarray(spec.matrix), spec.dims)}
     out = {"family": name}
     for field in _FIELDS[name]:
         value = getattr(spec, field)
@@ -161,10 +165,7 @@ def _oracle_block(spec: StateSpec, rho: DensityMatrix, dec, tol: float | None, s
 
 
 def _separability_report(spec: StateSpec) -> dict:
-    if isinstance(spec, Raw):
-        verdict = separability.ppt_check(build(spec))
-    else:
-        verdict = separability.family_region(spec)
+    verdict = separability.family_region(spec)
     return {
         "schema": "lsd-separability/1",
         "command": "separability",
@@ -242,7 +243,6 @@ def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
         lam=lam,
         separable_part=sep,
         entangled_part=ent,
-        residual_norm=0.0,
         method=str(report.get("method", "unknown")),
     )
     check = lsd.verify(rho, dec)
@@ -401,7 +401,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.tol is not None and not math.isfinite(args.tol):
+        parser.error(f"argument --tol: must be finite, got {args.tol}")
     try:
         if args.command == "selftest":
             report, ok = _selftest()

@@ -63,7 +63,6 @@ class LSDecomposition:
     lam: float
     separable_part: DensityMatrix
     entangled_part: np.ndarray
-    residual_norm: float
     method: str
 
 
@@ -107,14 +106,7 @@ def _assemble(
     if abs(tr - (1.0 - lam)) > 1e-9:
         raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
     _certify_separable(sep, region)
-    residual_norm = float(np.linalg.norm(rho.mat - lam * sep.mat - ent))
-    return LSDecomposition(
-        lam=lam,
-        separable_part=sep,
-        entangled_part=ent,
-        residual_norm=residual_norm,
-        method=method,
-    )
+    return LSDecomposition(lam=lam, separable_part=sep, entangled_part=ent, method=method)
 
 
 def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
@@ -122,7 +114,6 @@ def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
         lam=1.0,
         separable_part=rho,
         entangled_part=np.zeros_like(rho.mat),
-        residual_norm=0.0,
         method=method + "/separable",
     )
 
@@ -204,14 +195,9 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
     separable part reweights the spin-flip basis onto its separability
     boundary and the residual is C |x'_1><x'_1|.
     """
-    if tuple(rho.dims) != (2, 2):
-        raise InputError(f"expected dims (2, 2), got {rho.dims}")
-    lam_spec = wootters.wootters_lambdas(rho)
-    conc = float(max(0.0, lam_spec[0] - lam_spec[1] - lam_spec[2] - lam_spec[3]))
-    if conc <= 1e-12:
-        return _separable_case(rho, "wootters")
-
     wd = wootters.wootters_basis(rho)
+    if wd.concurrence <= 1e-12:
+        return _separable_case(rho, "wootters")
     lam = 1.0 - wd.k[0] * wd.concurrence
     if lam <= 1e-14:
         # pure entangled state: all weight in the residual

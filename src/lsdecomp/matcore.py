@@ -15,7 +15,6 @@ from .errors import InputError, NoConvergence, NumericalError
 
 HERM_RTOL = 1e-12
 PSD_TOL = 1e-9
-RECON_RTOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)

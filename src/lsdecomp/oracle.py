@@ -64,33 +64,25 @@ LEAK_TOL = 1e-9
 # --------------------------------------------------------------------------
 # fixed-candidate weight
 
-def _support_pieces(rho_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    r = matcore.pinv_sqrt(rho_mat, tol=SUPPORT_CUT)
-    pi = r @ rho_mat @ r
-    full_rank = float(np.linalg.eigvalsh(rho_mat)[0]) > SUPPORT_CUT
-    return r, pi, full_rank
-
-
 def lambda_max_fixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Largest L >= 0 with rho - L sigma PSD, computed analytically.
 
-    Equals 1 / max_eig(rho^(-1/2) sigma rho^(-1/2)) on the support of rho;
-    0 when sigma has weight outside that support.
+    Equals 1 / max_eig(rho^(-1/2) sigma rho^(-1/2)) on the support of rho
+    (eigenvalues above SUPPORT_CUT); 0 when sigma has weight outside that
+    support. The weight inside is read in rho's eigenbasis, where it stays
+    exact; rho^(-1/2) rho rho^(-1/2) would carry rounding of eps / min_eig.
     """
     if rho.mat.shape != sigma.mat.shape:
         raise InputError(
             f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
         )
-    r, pi, full_rank = _support_pieces(rho.mat)
-    if not full_rank:
-        leak = 1.0 - float(np.real(np.trace(pi @ sigma.mat)))
-        if leak > LEAK_TOL:
-            return 0.0
-    m = r @ sigma.mat @ r
-    top = float(np.linalg.eigvalsh(m)[-1])
-    if top <= 0.0:
+    eig = matcore.hermitian_eig(rho.mat)
+    keep = eig.values > SUPPORT_CUT
+    inside = eig.vectors[:, keep].conj().T @ sigma.mat @ eig.vectors[:, keep]
+    if 1.0 - float(np.real(np.trace(inside))) > LEAK_TOL:
         return 0.0
-    return 1.0 / top
+    scale = 1.0 / np.sqrt(eig.values[keep])
+    return 1.0 / float(np.linalg.eigvalsh(scale[:, None] * inside * scale)[-1])
 
 
 def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-9) -> float:
@@ -106,8 +98,6 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
     psd_tol = min(1e-12, tol * 1e-3)
     if matcore.is_psd(rho.mat - sigma.mat, psd_tol):
         return 1.0
-    if not matcore.is_psd(rho.mat, 1e-9):
-        raise InfeasiblePoint("rho itself is not PSD")
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)

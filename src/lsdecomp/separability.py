@@ -30,6 +30,7 @@ from .states import (
     dispatch,
     horodecki33_params,
     isotropic_params,
+    make_raw,
     multi_iso_params,
     werner_params,
 )
@@ -170,11 +171,10 @@ _REGIONS = {
     Isotropic: isotropic_region,
     Horodecki33: horodecki33_region,
     MultiIso: multi_iso_region,
+    Raw: lambda dims, matrix: ppt_check(make_raw(dims, matrix)),
 }
 
 
 def family_region(spec: StateSpec) -> SeparabilityVerdict:
-    """Closed-form separability verdict for a named family spec."""
-    if isinstance(spec, Raw):
-        raise InputError("family_region needs a named family, not a raw matrix")
+    """Closed-form region verdict for a named family, PPT for a raw matrix."""
     return dispatch(_REGIONS, spec)

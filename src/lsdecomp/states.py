@@ -59,10 +59,6 @@ class DensityMatrix:
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
 
-    @property
-    def size(self) -> int:
-        return self.mat.shape[0]
-
 
 # --------------------------------------------------------------------------
 # family parameter records (a tagged union; FAMILIES below maps each to its tag)

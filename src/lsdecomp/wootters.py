@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import InputError, NumericalError
+from .errors import InputError
 from .states import DensityMatrix
 
 _YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
@@ -104,8 +104,8 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
     Takes the subnormalized eigenvectors |v_i> of rho, forms the complex
     symmetric overlap matrix tau_ij = <v_i|v~_j> on the support, and rotates
     by the conjugated Takagi unitary of tau so that <x_i|x~_j> = lam_i d_ij
-    with lam_i real nonnegative descending. Raises NumericalError when
-    lam_1 = 0 (rho rho~ vanishes identically).
+    with lam_i real nonnegative descending. Where rho rho~ vanishes
+    identically (as for |00><00|), every lam_i, k_i and the concurrence are 0.
     """
     _require_two_qubits(rho)
     vcols = _support_vectors(rho)
@@ -116,9 +116,6 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
     xcols[:, :rank] = vcols @ u.conj().T
     lambdas = np.zeros(4)
     lambdas[:rank] = d
-
-    if lambdas[0] <= SUPPORT_CUT:
-        raise NumericalError("top spin-flip eigenvalue is zero; |x'_1> undefined")
 
     xprime = np.zeros_like(xcols)
     k = np.zeros(4)

@@ -56,6 +56,13 @@ def test_concurrence_command(capsys):
     assert abs(np.dot(report["lambdas"], report["k"]) - 1.0) <= 1e-9
 
 
+def test_concurrence_of_a_product_state(capsys):
+    product = {"family": "raw", "dims": [2, 2], "re": np.diag([1.0, 0, 0, 0]).tolist()}
+    report = run_json(capsys, "concurrence", "--input", json.dumps(product))
+    assert report["concurrence"] == 0.0
+    assert report["lambdas"] == report["k"] == report["P"] == [0.0] * 4
+
+
 def test_oracle_command(capsys):
     report = run_json(
         capsys, "oracle", "--input", '{"family":"isotropic","d":3,"F":0.5}', "--seed", "1"
@@ -293,6 +300,29 @@ def test_parse_spec_rejects_non_integral_integers(capsys, spec):
     code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
     assert code == 2 and "error (InputError): malformed fields for family" in err
     assert "expected an integer, got " in err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "werner", "d": "2", "f": "-0.5"}, "d"),
+    ({"family": "werner", "d": 2, "f": "-0.5"}, "f"),
+    ({"family": "werner", "d": 2, "f": True}, "f"),
+    ({"family": "bd22", "p": [True, False, False, False]}, "p"),
+    ({"family": "icd", "theta": None, "p": [0.7, 0.1, 0.1, 0.1]}, "theta"),
+])
+def test_parse_spec_rejects_text_and_booleans_as_numbers(capsys, spec, field):
+    code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+    prefix = f"error (InputError): malformed fields for family {spec['family']!r}: "
+    assert code == 2 and f"{prefix}field {field!r}: " in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "verify"])
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
+def test_non_finite_tol_is_rejected(capsys, command, tol):
+    spec = '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, f"--tol={tol}", "--input", spec])
+    assert exc.value.code == 2
+    assert "argument --tol: must be finite" in capsys.readouterr().err
 
 
 def test_parse_spec_accepts_integral_floats(capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from lsdecomp import cli, lsd, oracle, separability
 from lsdecomp import states as st
-from lsdecomp.errors import InputError
 
 SAMPLES = [
     st.BD22(p=(0.7, 0.1, 0.1, 0.1)),
@@ -49,11 +48,7 @@ def test_every_layer_has_an_entry(spec):
     assert isinstance(lsd.decompose(spec), lsd.LSDecomposition)
     fam = oracle.family_for_spec(spec)
     assert fam.dims == rho.dims
-    if isinstance(spec, st.Raw):
-        with pytest.raises(InputError, match="needs a named family, not a raw matrix"):
-            separability.family_region(spec)
-    else:
-        assert separability.family_region(spec).status == separability.ENTANGLED
+    assert separability.family_region(spec).status == separability.ENTANGLED
 
 
 def test_unknown_spec_type_is_rejected():

@@ -43,6 +43,20 @@ def test_fixed_weight_support_mismatch_is_zero():
     assert orc.lambda_max_fixed(pure, sigma) == 0.0
 
 
+def test_fixed_weight_full_rank_with_a_small_eigenvalue():
+    # a support projector formed as rho^(-1/2) rho rho^(-1/2) is off by up
+    # to ~1e-7 on these states, enough for the leak test to read them as 0
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        w = rng.dirichlet([1.0] * 4)
+        w[0] = 1e-8
+        rho = st.DensityMatrix((u * (w / w.sum())) @ u.conj().T, (2, 2))
+        sigma = ginibre_state(rng, 4, (2, 2))
+        exact = orc.lambda_max_bisect(rho, sigma, 1e-10)
+        assert abs(orc.lambda_max_fixed(rho, sigma) - exact) <= 1e-9
+
+
 def test_fixed_weight_dimension_check():
     with pytest.raises(InputError, match=r"state sizes differ: \(4, 4\) vs \(6, 6\)"):
         orc.lambda_max_fixed(st.make_bd22([0.25] * 4), st.make_bd23([1 / 6.0] * 6))

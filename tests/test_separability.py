@@ -122,9 +122,12 @@ def test_family_region_multi_iso_threshold():
     assert sep.family_region(st.MultiIso(d=2, n=3, s=0.21)).status == sep.ENTANGLED
 
 
-def test_family_region_rejects_raw():
-    with pytest.raises(InputError, match="family_region needs a named family, not a raw matrix"):
-        sep.family_region(st.Raw(dims=(2, 2), matrix=np.eye(4) / 4))
+def test_family_region_of_raw_is_ppt():
+    for rho in (st.make_bd22([0.7, 0.1, 0.1, 0.1]), st.make_bd23([0.5, 0.1, 0.1, 0.1, 0.1, 0.1])):
+        spec = st.Raw(dims=rho.dims, matrix=rho.mat)
+        assert sep.family_region(spec) == sep.ppt_check(st.build(spec))
+    with pytest.raises(InputError, match=r"needs exactly two subsystems, got dims \(2, 2, 2\)"):
+        sep.family_region(st.Raw(dims=(2, 2, 2), matrix=np.eye(8) / 8))
 
 
 def test_margin_continuity():

@@ -6,7 +6,7 @@ import pytest
 from lsdecomp import matcore as mc
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
-from lsdecomp.errors import InputError, NumericalError
+from lsdecomp.errors import InputError
 
 from helpers import ginibre_state, random_unitary
 
@@ -136,9 +136,12 @@ def test_basis_rank_deficient_state():
     assert np.linalg.norm(x @ x.conj().T - rho.mat) <= 1e-9
 
 
-def test_basis_degenerate_error():
+def test_basis_of_a_product_state_is_zero():
+    # |00><00| has rho rho~ = 0: every flip eigenvalue, k and P vanish
     v = np.zeros(4, dtype=complex)
     v[0] = 1.0
-    rho = st.DensityMatrix(np.outer(v, v.conj()), (2, 2))
-    with pytest.raises(NumericalError, match="top spin-flip eigenvalue is zero"):
-        wo.wootters_basis(rho)
+    data = wo.wootters_basis(st.DensityMatrix(np.outer(v, v.conj()), (2, 2)))
+    assert np.array_equal(data.lambdas, np.zeros(4))
+    assert np.array_equal(data.k, np.zeros(4)) and np.array_equal(data.P, np.zeros(4))
+    assert np.array_equal(data.x_prime_vectors, np.zeros((4, 4)))
+    assert data.concurrence == 0.0

@@ -190,7 +190,14 @@ def malformed_inputs() -> list[tuple[str, str]]:
     texts = [json.dumps(s) for s in specs]
     texts.append('{"family": "raw", "dims": [2, 2], "re": [[NaN, 0, 0, 0], [0, 0.25, 0, 0], '
                  '[0, 0, 0.25, 0], [0, 0, 0, 0.25]]}')
-    return [("bad", t) for t in texts] + [("bad", "{not json"), ("bad", "[1, 2]"), ("bad", '"x"')]
+    texts += ["{not json", "[1, 2]", '"x"']
+    # text and booleans where numbers belong; appended last so that the run ids above stay put
+    texts += [json.dumps(s) for s in (
+        {"family": "werner", "d": "2", "f": "-0.5"},
+        {"family": "werner", "d": 2, "f": True},
+        {"family": "bd22", "p": [True, False, False, False]},
+    )]
+    return [("bad", t) for t in texts]
 
 
 def malformed_reports(report: dict) -> list[tuple[str, object]]:
