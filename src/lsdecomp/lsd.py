@@ -119,7 +119,35 @@ def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
 
 
 # --------------------------------------------------------------------------
-# 2x2 Bell-diagonal
+# pure-residual splits: 2x2 Bell-diagonal, iso-concurrence, 2x3 Bell-diagonal
+
+def _pure_residual(rho, make, region, p: np.ndarray, chambers, method: str) -> LSDecomposition:
+    """The largest-weight split whose residual is pure on one basis vector.
+
+    A chamber (k, lam) puts the residual (1 - lam) P_k on basis vector k, so
+    the separable weights are p_i / lam off k and 1 - (1 - p_k) / lam on k
+    (Lewenstein & Sanpera 1998); at lam <= 1e-14 the state is pure and the
+    separable part is the uniform mixture. Keeps the largest lam whose
+    weights pass `region`; DecompositionUnavailable when none does.
+    """
+    best = None
+    for k, lam in chambers:
+        if lam <= 1e-14:
+            lam, q, name = 0.0, np.full(len(p), 1.0 / len(p)), method + "/pure"
+        else:
+            q = p / lam
+            q[k] = 1.0 - (1.0 - p[k]) / lam
+            name = method
+        verdict = region(q)
+        if verdict.is_separable and (best is None or lam > best[0]):
+            best = (lam, q, verdict, name)
+    if best is None:
+        raise DecompositionUnavailable(
+            "state lies outside the chambers covered by the closed-form splits"
+        )
+    lam, q, verdict, name = best
+    return _assemble(rho, lam, make(q), name, verdict)
+
 
 def lsd_bd22(p) -> LSDecomposition:
     """Optimal split of a Bell-diagonal 2-qubit state.
@@ -133,55 +161,61 @@ def lsd_bd22(p) -> LSDecomposition:
     k = int(np.argmax(p))
     if p[k] <= 0.5:
         return _separable_case(rho, "bd22")
-    lam = 2.0 * (1.0 - p[k])
-    if lam <= 1e-14:
-        sep = make_bd22([0.25] * 4)
-        return _assemble(rho, 0.0, sep, "bd22/pure", separability.bd22_region([0.25] * 4))
-    pprime = p / lam
-    pprime[k] = 0.5
-    sep = make_bd22(pprime)
-    return _assemble(rho, lam, sep, "bd22", separability.bd22_region(pprime))
-
-
-# --------------------------------------------------------------------------
-# iso-concurrence states
-
-# index relabelings that map the chamber violating inequality ppt_k to the
-# ppt1 chamber; each is a local unitary on the underlying state
-_ICD_PERMS = {0: (0, 1, 2, 3), 1: (1, 0, 3, 2), 2: (2, 3, 0, 1), 3: (3, 2, 1, 0)}
+    return _pure_residual(
+        rho, make_bd22, separability.bd22_region, p, [(k, 2.0 * (1.0 - p[k]))], "bd22"
+    )
 
 
 def lsd_icd(theta: float, p) -> LSDecomposition:
     """Split of an iso-concurrence state, optimal within the family: the
     separable part is drawn from iso-concurrence states of the same theta.
 
-    In the chamber where p_1 - p_2 exceeds sqrt(4 p3 p4 / sin^2(2 theta)
-    + (p3 - p4)^2), the weight is lam = 1 - (p1 - p2) + that root; the
-    separable part saturates the same inequality and the residual is pure on
-    the dominant basis vector.
+    Where inequality ppt_k is violated, p_k - p_j exceeds the root
+    sqrt(4 p_a p_b / sin^2(2 theta) + (p_a - p_b)^2), with j = k ^ 1 its
+    partner and (a, b) the other pair. The weight is lam = 1 - (p_k - p_j) +
+    root; the separable part saturates the same inequality and the residual
+    is pure on basis vector k.
     """
     p = clean_probabilities(p, 4)
     rho = make_icd(theta, p)
     region = separability.icd_region(theta, p)
     if region.is_separable:
         return _separable_case(rho, "icd")
+    k = int(region.detail[-1]) - 1
+    a, b = p[k ^ 2], p[k ^ 3]
+    root = math.sqrt(4.0 * a * b / math.sin(2.0 * theta) ** 2 + (a - b) ** 2)
+    return _pure_residual(
+        rho,
+        lambda q: make_icd(theta, q),
+        lambda q: separability.icd_region(theta, q),
+        p,
+        [(k, 1.0 - (p[k] - p[k ^ 1]) + root)],
+        "icd",
+    )
 
-    violated = int(region.detail[-1]) - 1
-    perm = np.array(_ICD_PERMS[violated])
-    q = p[perm]  # canonical frame: q_1 - q_2 > root(q_3, q_4)
-    s2 = math.sin(2.0 * theta) ** 2
-    root = math.sqrt(4.0 * q[2] * q[3] / s2 + (q[2] - q[3]) ** 2)
-    lam = 1.0 - (q[0] - q[1]) + root
-    if lam <= 1e-14:
-        # pure basis vector: all weight in the residual
-        sep = make_icd(theta, [0.25] * 4)
-        return _assemble(rho, 0.0, sep, "icd/pure", separability.icd_region(theta, [0.25] * 4))
-    qprime = q / lam
-    qprime[0] = 1.0 - (1.0 - q[0]) / lam
-    pprime = np.empty(4)
-    pprime[perm] = qprime  # invert the (involutive) relabeling
-    sep = make_icd(theta, pprime)
-    return _assemble(rho, lam, sep, "icd", separability.icd_region(theta, pprime))
+
+def lsd_bd23(p) -> LSDecomposition:
+    """Optimal split of a Bell-diagonal 2x3 state (pure-residual branch).
+
+    A pair inequality is violated where its larger member p_k exceeds its
+    partner p_j by more than w, the geometric mean of the other two pair
+    sums. Its chamber has lam = 1 - p_k + p_j + w; the largest weight whose
+    separable part stays in the region is kept. When no chamber yields one,
+    the state lies outside the covered closed form and
+    DecompositionUnavailable is raised.
+    """
+    p = clean_probabilities(p, 6)
+    rho = make_bd23(p)
+    if separability.bd23_region(p).is_separable:
+        return _separable_case(rho, "bd23")
+    chambers = []
+    for pair in ((0, 1), (2, 3), (4, 5)):
+        k, j = pair if p[pair[0]] >= p[pair[1]] else pair[::-1]
+        c, d, e, f = (i for i in range(6) if i not in pair)
+        w = math.sqrt((p[c] + p[d]) * (p[e] + p[f]))
+        if p[k] - p[j] > w:
+            chambers.append((k, 1.0 - p[k] + p[j] + w))
+    return _pure_residual(rho, make_bd23, separability.bd23_region, p, chambers, "bd23")
 
 
 # --------------------------------------------------------------------------
@@ -209,74 +243,6 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
     sep_mat = np.einsum("i,ij,ik->jk", weights, xprime, xprime.conj())
     sep = DensityMatrix(sep_mat, (2, 2))
     return _assemble(rho, lam, sep, "wootters", None)
-
-
-# --------------------------------------------------------------------------
-# 2x3 Bell-diagonal
-
-def _bd23_rank1_candidate(p: np.ndarray, order: np.ndarray) -> LSDecomposition | None:
-    """Try the pure-residual 2x3 formula with pair roles given by `order`.
-
-    `order` lists the six indices with the dominant pair first and each pair
-    internally descending. Returns None when the derived separable part
-    leaves the separability region.
-    """
-    q = p[order]
-    w = math.sqrt((q[2] + q[3]) * (q[4] + q[5]))
-    if q[0] - q[1] <= w:
-        return None  # inequality not violated in this frame
-    lam = 1.0 - q[0] + q[1] + w
-    rho = make_bd23(p)
-    if lam <= 1e-14:
-        sep = make_bd23([1.0 / 6.0] * 6)
-        return _assemble(rho, 0.0, sep, "bd23/pure", separability.bd23_region([1.0 / 6.0] * 6))
-    qprime = q / lam
-    qprime[0] = 1.0 - (1.0 - q[0]) / lam
-    pprime = np.empty(6)
-    pprime[order] = qprime
-    region = separability.bd23_region(pprime)
-    if not region.is_separable:
-        return None
-    sep = make_bd23(pprime)
-    return _assemble(rho, lam, sep, "bd23", region)
-
-
-def _bd23_orders(p: np.ndarray) -> list[np.ndarray]:
-    """Candidate index orders: each pair fronted, pairs internally descending."""
-    pairs = []
-    for a, b in ((0, 1), (2, 3), (4, 5)):
-        pairs.append((a, b) if p[a] >= p[b] else (b, a))
-    orders = []
-    for lead in range(3):
-        rest = [pairs[j] for j in range(3) if j != lead]
-        orders.append(np.array(list(pairs[lead]) + list(rest[0]) + list(rest[1])))
-    return orders
-
-
-def lsd_bd23(p) -> LSDecomposition:
-    """Optimal split of a Bell-diagonal 2x3 state (pure-residual branch).
-
-    Applies the boundary formula in the chamber of the violated inequality
-    and keeps the largest weight whose separable part stays in the region.
-    When no chamber yields one, the state lies outside the covered closed
-    form and DecompositionUnavailable is raised.
-    """
-    p = clean_probabilities(p, 6)
-    rho = make_bd23(p)
-    region = separability.bd23_region(p)
-    if region.is_separable:
-        return _separable_case(rho, "bd23")
-
-    candidates: list[LSDecomposition] = []
-    for order in _bd23_orders(p):
-        dec = _bd23_rank1_candidate(p, order)
-        if dec is not None:
-            candidates.append(dec)
-    if candidates:
-        return max(candidates, key=lambda d: d.lam)
-    raise DecompositionUnavailable(
-        "state lies outside the chambers covered by the closed-form splits"
-    )
 
 
 # --------------------------------------------------------------------------
