@@ -121,22 +121,32 @@ def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
 # --------------------------------------------------------------------------
 # pure-residual splits: 2x2 Bell-diagonal, iso-concurrence, 2x3 Bell-diagonal
 
+def _rest(p: np.ndarray, k: int) -> float:
+    """1 - p_k as the sum of the other weights."""
+    return float(np.delete(p, k).sum())
+
+
 def _pure_residual(rho, make, region, p: np.ndarray, chambers, method: str) -> LSDecomposition:
     """The largest-weight split whose residual is pure on one basis vector.
 
-    A chamber (k, lam) puts the residual (1 - lam) P_k on basis vector k, so
-    the separable weights are p_i / lam off k and 1 - (1 - p_k) / lam on k
-    (Lewenstein & Sanpera 1998); at lam <= 1e-14 the state is pure and the
+    A chamber (k, extra) has weight lam = (1 - p_k) + extra and puts the
+    residual (1 - lam) P_k on basis vector k, so the separable weights are
+    p_i / lam off k and 1 - (1 - p_k) / lam on k (Lewenstein & Sanpera
+    1998). 1 - p_k is summed from the other weights: subtracting p_k from 1
+    would lose its digits when p_k is near 1, and dividing by a small lam
+    would magnify the loss. At lam <= 1e-14 the state is pure and the
     separable part is the uniform mixture. Keeps the largest lam whose
     weights pass `region`; DecompositionUnavailable when none does.
     """
     best = None
-    for k, lam in chambers:
+    for k, extra in chambers:
+        rest = _rest(p, k)
+        lam = rest + extra
         if lam <= 1e-14:
             lam, q, name = 0.0, np.full(len(p), 1.0 / len(p)), method + "/pure"
         else:
             q = p / lam
-            q[k] = 1.0 - (1.0 - p[k]) / lam
+            q[k] = 1.0 - rest / lam
             name = method
         verdict = region(q)
         if verdict.is_separable and (best is None or lam > best[0]):
@@ -161,9 +171,7 @@ def lsd_bd22(p) -> LSDecomposition:
     k = int(np.argmax(p))
     if p[k] <= 0.5:
         return _separable_case(rho, "bd22")
-    return _pure_residual(
-        rho, make_bd22, separability.bd22_region, p, [(k, 2.0 * (1.0 - p[k]))], "bd22"
-    )
+    return _pure_residual(rho, make_bd22, separability.bd22_region, p, [(k, _rest(p, k))], "bd22")
 
 
 def lsd_icd(theta: float, p) -> LSDecomposition:
@@ -189,7 +197,7 @@ def lsd_icd(theta: float, p) -> LSDecomposition:
         lambda q: make_icd(theta, q),
         lambda q: separability.icd_region(theta, q),
         p,
-        [(k, 1.0 - (p[k] - p[k ^ 1]) + root)],
+        [(k, p[k ^ 1] + root)],
         "icd",
     )
 
@@ -214,7 +222,7 @@ def lsd_bd23(p) -> LSDecomposition:
         c, d, e, f = (i for i in range(6) if i not in pair)
         w = math.sqrt((p[c] + p[d]) * (p[e] + p[f]))
         if p[k] - p[j] > w:
-            chambers.append((k, 1.0 - p[k] + p[j] + w))
+            chambers.append((k, p[j] + w))
     return _pure_residual(rho, make_bd23, separability.bd23_region, p, chambers, "bd23")
 
 
@@ -227,21 +235,24 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
 
     lam = 1 - k_1 C with C the concurrence and k_1 = <x'_1|x'_1>; the
     separable part reweights the spin-flip basis onto its separability
-    boundary and the residual is C |x'_1><x'_1|.
+    boundary and the residual is C |x'_1><x'_1|. lam is read as the trace
+    of the unnormalized separable part, sum_i w_i |x'_i><x'_i| with
+    w_1 = l_2 + l_3 + l_4 and w_i = l_i otherwise, which keeps its digits
+    where 1 - k_1 C cancels.
     """
     wd = wootters.wootters_basis(rho)
     if wd.concurrence <= 1e-12:
         return _separable_case(rho, "wootters")
-    lam = 1.0 - wd.k[0] * wd.concurrence
+    weights = wd.lambdas.copy()
+    weights[0] = wd.lambdas[1] + wd.lambdas[2] + wd.lambdas[3]
+    xprime = wd.x_prime_vectors
+    sep_mat = np.einsum("i,ij,ik->jk", weights, xprime, xprime.conj())
+    lam = float(np.real(np.trace(sep_mat)))
     if lam <= 1e-14:
         # pure entangled state: all weight in the residual
         sep = make_bd22([0.25] * 4)
         return _assemble(rho, 0.0, sep, "wootters/pure", None)
-    weights = wd.lambdas / lam
-    weights[0] = (wd.lambdas[1] + wd.lambdas[2] + wd.lambdas[3]) / lam
-    xprime = wd.x_prime_vectors
-    sep_mat = np.einsum("i,ij,ik->jk", weights, xprime, xprime.conj())
-    sep = DensityMatrix(sep_mat, (2, 2))
+    sep = DensityMatrix(sep_mat / lam, (2, 2))
     return _assemble(rho, lam, sep, "wootters", None)
 
 

@@ -258,6 +258,50 @@ def test_bd23_uncovered_chambers_raise():
         lsd.decompose(st.BD23(p=(0.5, 0.1, 0.3, 0.1, 0.0, 0.0)))
 
 
+# -- near-pure states -------------------------------------------------------
+
+NEAR_PURE_GAPS = (1e-14, 1e-11, 1e-9, 1e-7, 1e-5)
+
+
+def near_pure(gap: float, k: int, shares) -> np.ndarray:
+    """Weight 1 - gap on index k, the gap shared out over the others."""
+    return np.insert(gap * np.asarray(shares), k, 1.0 - gap)
+
+
+@pytest.mark.parametrize("gap", NEAR_PURE_GAPS)
+def test_near_pure_bell_type_states_decompose(gap):
+    # 1 - p_max carries ~1e-16 of rounding that a small lam magnifies unless
+    # it is summed from the small weights
+    for k in range(4):
+        p = near_pure(gap, k, [0.2, 0.3, 0.5])
+        dec = lsd.lsd_bd22(p)
+        assert dec.method == "bd22"
+        assert dec.lam == pytest.approx(2.0 * gap, rel=1e-9)
+        check_decomposition(st.make_bd22(p), dec)
+        for theta in (0.4, np.pi / 4, 1.1):
+            dec = lsd.lsd_icd(theta, p)
+            assert dec.method == "icd"
+            assert check_decomposition(st.make_icd(theta, p), dec).residual_rank == 1
+    for k in (0, 3, 4):
+        p = near_pure(gap, k, [0.1, 0.2, 0.3, 0.1, 0.3])
+        dec = lsd.lsd_bd23(p)
+        assert dec.method == "bd23"
+        assert check_decomposition(st.make_bd23(p), dec).residual_rank == 1
+
+
+@pytest.mark.parametrize("eps", (1e-5, 1e-3))
+def test_near_pure_raw_states_decompose(eps):
+    rng = np.random.default_rng(11)
+    psis = [np.array([np.cos(0.5), 0.3, 0.0, np.sin(0.5)])]
+    psis += [rng.normal(size=4) + 1j * rng.normal(size=4) for _ in range(40)]
+    for psi in psis:
+        psi = psi / np.linalg.norm(psi)
+        rho = st.make_raw((2, 2), (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4)
+        dec = lsd.lsd_wootters(rho)
+        assert dec.method == "wootters"
+        check_decomposition(rho, dec)
+
+
 # -- one-parameter families -------------------------------------------------
 
 def test_werner_weights_and_residual():
