@@ -58,6 +58,14 @@ def _decode(field: str, tp, value):
         raise ValueError(f"field {field!r}: {exc}") from exc
 
 
+def _real_array(field: str, value) -> np.ndarray:
+    """A raw matrix part: nested lists whose every entry passes `_number`."""
+    arr = np.asarray(value, dtype=object)
+    for entry in arr.flat:
+        _decode(field, float, entry)
+    return arr.astype(float)
+
+
 def parse_spec(obj) -> StateSpec:
     """Parse the flat tagged JSON object {"family": ..., ...} into a StateSpec.
 
@@ -72,8 +80,8 @@ def parse_spec(obj) -> StateSpec:
     try:
         if family == "raw":
             dims = tuple(_integer(v) for v in obj["dims"])
-            re = np.asarray(obj["re"], dtype=float)
-            im = np.asarray(obj["im"], dtype=float) if "im" in obj else np.zeros_like(re)
+            re = _real_array("re", obj["re"])
+            im = _real_array("im", obj["im"]) if "im" in obj else np.zeros_like(re)
             return Raw(dims=dims, matrix=re + 1j * im)
         args = {name: _decode(name, tp, obj[name]) for name, tp in _FIELDS[family].items()}
     except (KeyError, TypeError, ValueError) as exc:
@@ -222,7 +230,7 @@ def _read_report(report) -> tuple[DensityMatrix, float, DensityMatrix, np.ndarra
     rho = build(parse_spec(report["input"]))
     field = "lambda"
     try:
-        lam = float(report["lambda"])
+        lam = _number(report["lambda"])
         field = "separable"
         sep = _block_matrix(report["separable"]), tuple(map(_integer, report["separable"]["dims"]))
         field = "entangled"
@@ -372,39 +380,30 @@ def _fmt_scalar(val) -> str:
     return str(val)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lsdecomp",
-        description="Optimal separable decompositions of structured quantum states.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_input in (
-        ("decompose", True),
-        ("separability", True),
-        ("concurrence", True),
-        ("oracle", True),
-        ("verify", True),
-        ("selftest", False),
-    ):
-        p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="path, '-' for stdin, or inline JSON")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override; the oracle search stops at a duality gap of "
-                            "tol/1000 (at least 1e-12)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="accepted for compatibility; the oracle search is deterministic")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        if name == "decompose":
-            p.add_argument("--oracle", action="store_true", help="attach the numeric cross-check")
-    return parser
+_PARSER = argparse.ArgumentParser(
+    prog="lsdecomp",
+    description="Optimal separable decompositions of structured quantum states.",
+)
+_COMMANDS = _PARSER.add_subparsers(dest="command", required=True)
+for _name in ("decompose", "separability", "concurrence", "oracle", "verify", "selftest"):
+    _cmd = _COMMANDS.add_parser(_name)
+    if _name != "selftest":
+        _cmd.add_argument("--input", required=True, help="path, '-' for stdin, or inline JSON")
+    _cmd.add_argument("--tol", type=float, default=None,
+                      help="tolerance override; the oracle search stops at a duality gap of "
+                           "tol/1000 (at least 1e-12)")
+    _cmd.add_argument("--seed", type=int, default=0,
+                      help="accepted for compatibility; the oracle search is deterministic")
+    _cmd.add_argument("--format", choices=("json", "text"), default="json")
+    if _name == "decompose":
+        _cmd.add_argument("--oracle", action="store_true", help="attach the numeric cross-check")
+del _name, _cmd
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.tol is not None and not math.isfinite(args.tol):
-        parser.error(f"argument --tol: must be finite, got {args.tol}")
+        _PARSER.error(f"argument --tol: must be finite, got {args.tol}")
     try:
         if args.command == "selftest":
             report, ok = _selftest()

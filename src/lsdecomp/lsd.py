@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -193,12 +194,8 @@ def lsd_icd(theta: float, p) -> LSDecomposition:
     a, b = p[k ^ 2], p[k ^ 3]
     root = math.sqrt(4.0 * a * b / math.sin(2.0 * theta) ** 2 + (a - b) ** 2)
     return _pure_residual(
-        rho,
-        lambda q: make_icd(theta, q),
-        lambda q: separability.icd_region(theta, q),
-        p,
-        [(k, p[k ^ 1] + root)],
-        "icd",
+        rho, partial(make_icd, theta), partial(separability.icd_region, theta), p,
+        [(k, p[k ^ 1] + root)], "icd",
     )
 
 

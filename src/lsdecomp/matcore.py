@@ -114,22 +114,6 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
     return float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
 
 
-def pinv_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
-    """A^(-1/2) on the support of a PSD matrix.
-
-    Eigenvalues <= tol are treated as zero, so the result satisfies
-    A^(-1/2) A A^(-1/2) = P_support. Raises NumericalError when the smallest
-    eigenvalue is below -tol*max(1, ||A||_F).
-    """
-    res = hermitian_eig(a)
-    scale = max(1.0, frob(a))
-    if res.values[0] < -tol * scale:
-        raise NumericalError(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
-    inv = np.where(res.values > tol, 1.0 / np.sqrt(np.maximum(res.values, tol)), 0.0)
-    out = (res.vectors * inv) @ dagger(res.vectors)
-    return 0.5 * (out + dagger(out))
-
-
 def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix (negative noise clipped to 0)."""
     res = hermitian_eig(a)

@@ -128,6 +128,16 @@ def test_verify_rejects_malformed_reports(capsys, field, edit):
     assert f"error (InputError): malformed report field {field!r}: " in err
 
 
+@pytest.mark.parametrize("value", ["0.5999999999999999", True], ids=["text", "bool"])
+def test_verify_rejects_a_lambda_that_is_not_a_number(capsys, value):
+    report = run_json(capsys, "decompose", "--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}')
+    report["lambda"] = value
+    code, _, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert code == 2
+    assert ("error (InputError): malformed report field 'lambda': "
+            f"expected a number, got {value!r}") in err
+
+
 @pytest.mark.parametrize("report", ['"schema, input, lambda, separable"', "[1, 2]"])
 def test_verify_rejects_a_report_that_is_not_an_object(capsys, report):
     code, _, err = run_cli(capsys, "verify", "--input", report)
@@ -313,6 +323,18 @@ def test_parse_spec_rejects_text_and_booleans_as_numbers(capsys, spec, field):
     code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
     prefix = f"error (InputError): malformed fields for family {spec['family']!r}: "
     assert code == 2 and f"{prefix}field {field!r}: " in err
+
+
+@pytest.mark.parametrize("part, entry", [("re", True), ("re", "1"), ("im", False), ("im", None)])
+def test_raw_matrix_entries_must_be_numbers(capsys, part, entry):
+    # |00><00| with one entry spelled as a boolean, text or null
+    spec = {"family": "raw", "dims": [2, 2],
+            "re": np.diag([1.0, 0, 0, 0]).tolist(), "im": np.zeros((4, 4)).tolist()}
+    spec[part][0][0] = entry
+    code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+    assert code == 2
+    assert ("error (InputError): malformed fields for family 'raw': "
+            f"field {part!r}: expected a number, got {entry!r}") in err
 
 
 @pytest.mark.parametrize("command", ["oracle", "verify"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lsdecomp import matcore as mc
-from lsdecomp.errors import InputError, NumericalError
+from lsdecomp.errors import InputError
 
 from helpers import random_hermitian, random_unitary
 
@@ -135,30 +135,6 @@ def test_is_psd_werner_partial_transpose():
     pt = mc.partial_transpose(w.mat, (2, 2), "B")
     assert not mc.is_psd(pt)
     assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_pinv_sqrt_identity_and_rank_deficient():
-    assert np.allclose(mc.pinv_sqrt(np.eye(3)), np.eye(3))
-    out = mc.pinv_sqrt(np.diag([4.0, 0.0]))
-    assert np.allclose(out, np.diag([0.5, 0.0]))
-
-
-def test_pinv_sqrt_support_projector():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        b = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        a = b @ b.conj().T
-        r = mc.pinv_sqrt(a)
-        w, v = np.linalg.eigh(a)
-        keep = v[:, w > 1e-9]
-        proj = keep @ keep.conj().T
-        assert np.linalg.norm(r @ a @ r - proj) < 1e-9
-        assert mc.is_psd(r)
-
-
-def test_pinv_sqrt_rejects_negative():
-    with pytest.raises(NumericalError, match="matrix has eigenvalue -1.000e-01 below -tol"):
-        mc.pinv_sqrt(np.diag([1.0, -0.1]))
 
 
 def test_takagi_real_diagonal():

@@ -1,8 +1,8 @@
 """Run a fixed, seeded corpus of inputs through the lsdecomp CLI, in process.
 
 The corpus holds entangled and separable draws of every family,
-near-threshold, rank-deficient and vertex states, malformed specs, and
-malformed decomposition reports. Each spec runs through `decompose` (plain,
+near-threshold, rank-deficient, vertex and near-pure states, malformed
+specs, and malformed decomposition reports. Each spec runs through `decompose` (plain,
 `--oracle` and `--format text`), `separability`, `concurrence` and
 `oracle`; every report that `decompose` writes is then run through
 `verify`, and `selftest` runs once. The package is imported from the `src`
@@ -197,7 +197,37 @@ def malformed_inputs() -> list[tuple[str, str]]:
         {"family": "werner", "d": 2, "f": True},
         {"family": "bd22", "p": [True, False, False, False]},
     )]
+    for one in (True, "1"):  # |00><00| with its one entry a boolean or text
+        product = np.zeros((4, 4)).tolist()
+        product[0][0] = one
+        texts.append(json.dumps({"family": "raw", "dims": [2, 2], "re": product}))
     return [("bad", t) for t in texts]
+
+
+def near_pure_specs() -> list[tuple[str, dict]]:
+    """Bell-type states with 1 - p_max from 1e-14 to 1e-7, and pure 2-qubit
+    states under white noise, where 1 - p_max and 1 - k_1 C cancel."""
+    out = []
+    for gap in (1e-14, 1e-11, 1e-9, 1e-7):
+        out += [
+            ("nearpure", {"family": "bd22", "p": [1.0 - gap, 0.2 * gap, 0.3 * gap, 0.5 * gap]}),
+            ("nearpure", {"family": "icd", "theta": 0.4,
+                          "p": [0.2 * gap, 0.3 * gap, 1.0 - gap, 0.5 * gap]}),
+            ("nearpure", {"family": "bd23", "p": [1.0 - gap] + _floats(
+                gap * np.array([0.1, 0.2, 0.3, 0.1, 0.3]))}),
+        ]
+    out += [
+        ("nearpure", {"family": "bd22", "p": [0.9999999999, 3e-11, 3e-11, 4e-11]}),
+        ("nearpure", {"family": "bd23", "p": [0.9999999999, 1e-11, 2e-11, 3e-11, 1e-11, 3e-11]}),
+        ("nearpure", {"family": "icd", "theta": 0.4114, "p": [
+            1.36e-10, 1.64e-08, 0.9999997624731297, 2.2096262285195444e-07]}),
+    ]
+    psi = np.array([math.cos(0.5), 0.3, 0.0, math.sin(0.5)])
+    psi /= np.linalg.norm(psi)
+    for eps in (1e-5, 1e-3):
+        m = (1.0 - eps) * np.outer(psi, psi) + eps * np.eye(4) / 4
+        out.append(("nearpure", {"family": "raw", "dims": [2, 2], "re": m.tolist()}))
+    return out
 
 
 def malformed_reports(report: dict) -> list[tuple[str, object]]:
@@ -231,6 +261,8 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("string", "a report"),
         ("string_with_keys", "schema, input, lambda, separable"),
         ("list", [report]),
+        ("lambda_numeric_text", edit(lambda r: r.update({"lambda": str(r["lambda"])}))),
+        ("lambda_bool", edit(lambda r: r.update({"lambda": True}))),
     ]
 
 
@@ -263,6 +295,7 @@ def run_corpus() -> None:
     rng = np.random.default_rng(SEED)
     inputs = [(g, json.dumps(s)) for g, s in random_specs(rng, PER_FAMILY) + edge_specs()]
     inputs += malformed_inputs()
+    inputs += [(g, json.dumps(s)) for g, s in near_pure_specs()]  # after, so the ids above stay put
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
