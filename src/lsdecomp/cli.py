@@ -9,6 +9,7 @@ success, 2 on input/validation errors, 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -59,7 +60,14 @@ def _decode(field: str, tp, value):
 
 
 def _real_array(field: str, value) -> np.ndarray:
-    """A raw matrix part: nested lists whose every entry passes `_number`."""
+    """A matrix part: nested lists whose every entry passes `_number`. A
+    list of rows of JSON numbers is read in one pass; anything else is
+    walked entry by entry, so the error names the first bad entry."""
+    try:
+        if set(map(type, itertools.chain.from_iterable(value))) <= {int, float}:
+            return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pass
     arr = np.asarray(value, dtype=object)
     for entry in arr.flat:
         _decode(field, float, entry)
@@ -214,7 +222,7 @@ def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
 
 
 def _block_matrix(block) -> np.ndarray:
-    return np.asarray(block["re"], dtype=float) + 1j * np.asarray(block["im"], dtype=float)
+    return _real_array("re", block["re"]) + 1j * _real_array("im", block["im"])
 
 
 def _read_report(report) -> tuple[DensityMatrix, float, DensityMatrix, np.ndarray]:

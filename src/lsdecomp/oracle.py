@@ -10,10 +10,12 @@ Three layers:
   by solving one small semidefinite program. With y = L x the family's
   problem is linear in y: maximize tr S(y) subject to rho - S(y) >= 0 and
   the family's region, written as linear rows and 2x2 blocks (Vandenberghe
-  and Boyd, SIAM Rev. 38, 49, 1996). Its optimum is the family-restricted
+  and Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
+  generators, the one-parameter families the mixtures of the two end
+  states of their separable range. Its optimum is the family-restricted
   best separable approximation (Lewenstein and Sanpera, PRL 80, 2261,
-  1998). A damped-Newton log-barrier method solves it deterministically to
-  a duality gap of tol/1000, but not below 1e-12.
+  1998). A damped-Newton log-barrier method solves it deterministically
+  from the all-ones point to a duality gap of tol/1000, but not below 1e-12.
 * `bsa_as_sdp` / `duality_check` phrase the fixed-candidate problem as a
   one-variable linear matrix inequality and certify an optimum through a
   kernel-supported dual matrix: zero duality gap and complementary slackness
@@ -52,9 +54,9 @@ from .states import (
     iso_basis,
     make_horodecki33,
     make_isotropic,
+    make_multi_iso,
     make_raw,
     make_werner,
-    max_entangled,
 )
 
 SUPPORT_CUT = 1e-11
@@ -118,7 +120,7 @@ class SeparableFamily:
     A point y of the cone stands for S(y) = sum_k y_k gens[k]; the candidate
     state is S(y) / tr S(y) and its weight inside rho is tr S(y). The cone is
     cut out by the linear rows `rows @ y >= 0` and by the 2x2 blocks
-    `blocks @ y >= 0` (PSD); `start` lies strictly inside it.
+    `blocks @ y >= 0` (PSD), and the all-ones point lies strictly inside it.
     """
 
     name: str
@@ -126,7 +128,6 @@ class SeparableFamily:
     gens: np.ndarray  # (m, n, n) Hermitian generators
     rows: np.ndarray  # (r, m)
     blocks: np.ndarray  # (b, 2, 2, m)
-    start: np.ndarray  # (m,)
 
     def sigma(self, y: np.ndarray) -> np.ndarray:
         mat = np.tensordot(np.asarray(y, dtype=float), self.gens, axes=1)
@@ -148,14 +149,13 @@ def _half_rows(m: int) -> np.ndarray:
 
 
 def _cone_family(name, dims, gens, rows, blocks=()) -> SeparableFamily:
-    m = gens.shape[0]
+    gens = np.asarray(gens)
     return SeparableFamily(
         name=name,
         dims=dims,
         gens=gens,
         rows=np.asarray(rows, dtype=float),
-        blocks=np.asarray(blocks, dtype=float).reshape(-1, 2, 2, m),
-        start=np.ones(m),
+        blocks=np.asarray(blocks, dtype=float).reshape(-1, 2, 2, gens.shape[0]),
     )
 
 
@@ -193,61 +193,45 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     Separability within the family is the flip-spectrum condition: the
     largest normalized weight must not exceed the sum of the others. With
     two basis vectors that leaves the single candidate of equal weights.
+    With no flip weight rho is separable and is its own family. A pure rho
+    with one is entangled, and rho - L sigma >= 0 with L > 0 forces sigma =
+    rho, so its family is I/4, of weight 0.
     """
     wd = wootters.wootters_basis(rho)
     gens = _projectors(wd.x_prime_vectors[wd.lambdas > 1e-12])
     m = gens.shape[0]
-    if m < 2:
+    if m == 1 and np.vdot(rho.mat, rho.mat).real <= 1.0 - 1e-12:  # not pure
         raise NumericalError("spin-flip basis supports no separable candidates")
+    if m < 2:
+        gen = rho.mat if m == 0 else np.eye(4) / 4.0
+        return _cone_family("wootters", (2, 2), gen[None], np.eye(1))
     if m == 2:
         return _cone_family("wootters", (2, 2), gens.sum(axis=0, keepdims=True), np.eye(1))
     return _cone_family("wootters", (2, 2), gens, _half_rows(m))
 
 
-def _interval_family(name, dims, base, gen, lo, hi) -> SeparableFamily:
-    """S = t base + u gen with lo t <= u <= hi t; gen is traceless, so the
-    weight is t."""
-    return SeparableFamily(
-        name=name,
-        dims=dims,
-        gens=np.array([base, gen]),
-        rows=np.array([[-lo, 1.0], [hi, -1.0]]),
-        blocks=np.zeros((0, 2, 2, 2)),
-        start=np.array([1.0, 0.5 * (lo + hi)]),
-    )
-
+# A one-parameter state is affine in its parameter: its separable members are
+# the non-negative mixtures of the two end states of its separable range.
 
 def werner_family(d: int) -> SeparableFamily:
-    base = make_werner(d, 0.0).mat
-    scale = d**3 - d
-    eye = np.eye(d * d, dtype=np.complex128)
-    flip = matcore.swap_operator(d)
-    gen = (d * flip - eye) / scale
-    return _interval_family("werner", (d, d), base, gen, 0.0, 1.0)
+    ends = [make_werner(d, 0.0).mat, make_werner(d, 1.0).mat]
+    return _cone_family("werner", (d, d), ends, np.eye(2))
 
 
 def isotropic_family(d: int) -> SeparableFamily:
-    base = make_isotropic(d, 0.0).mat
-    psi = max_entangled(d)
-    proj = np.outer(psi, psi.conj())
-    eye = np.eye(d * d, dtype=np.complex128)
-    gen = proj - (eye - proj) / (d * d - 1.0)
-    return _interval_family("isotropic", (d, d), base, gen, 0.0, 1.0 / d)
+    ends = [make_isotropic(d, 0.0).mat, make_isotropic(d, 1.0 / d).mat]
+    return _cone_family("isotropic", (d, d), ends, np.eye(2))
 
 
 def horodecki33_family() -> SeparableFamily:
-    base = make_horodecki33(2.0).mat
-    gen = (make_horodecki33(3.0).mat - base)  # one unit of alpha
-    return _interval_family("horodecki33", (3, 3), base, gen, 0.0, 1.0)
+    ends = [make_horodecki33(2.0).mat, make_horodecki33(3.0).mat]
+    return _cone_family("horodecki33", (3, 3), ends, np.eye(2))
 
 
 def multi_iso_family(d: int, n: int) -> SeparableFamily:
-    size = d**n
-    psi = max_entangled(d, n)
-    eye = np.eye(size, dtype=np.complex128) / size
-    gen = np.outer(psi, psi.conj()) - eye
     s0 = separability.multi_iso_threshold(d, n)
-    return _interval_family("multi_iso", (d,) * n, eye, gen, 0.0, s0)
+    ends = [make_multi_iso(d, n, 0.0).mat, make_multi_iso(d, n, s0).mat]
+    return _cone_family("multi_iso", (d,) * n, ends, np.eye(2))
 
 
 _SEARCH_FAMILIES = {
@@ -457,11 +441,12 @@ def bsa_search(
         evals, vecs = np.linalg.eigh(rho.mat)
         shift = EPS + max(0.0, -float(evals[0]))
         r = vecs / np.sqrt(evals + shift)
-        s0 = np.tensordot(family.start, family.gens, axes=1)
+        start = np.ones(family.gens.shape[0])
+        s0 = np.tensordot(start, family.gens, axes=1)
         top = float(np.linalg.eigvalsh(r.conj().T @ s0 @ r)[-1])
         lin, mat = _lmi(rho.mat, shift, family)
         gap = max(tol / 1000.0, MIN_GAP)
-        y = _barrier_max(lin, mat, c, family.start * (0.5 / top), gap)
+        y = _barrier_max(lin, mat, c, start * (0.5 / top), gap)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"barrier search failed: {exc}") from exc
     lam = float(c @ y)
@@ -501,19 +486,19 @@ KERNEL_CUT = 1e-8
 
 
 def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
-    """Certify a primal point through a kernel-supported dual matrix.
+    """Certify a one-variable primal point through a kernel-supported dual matrix.
 
     Z is the projector onto the kernel of F(x_hat), scaled so that the dual
-    equality constraints Tr[F_i Z] = c_i hold. Raises InfeasiblePoint when
+    equality constraint Tr[F_1 Z] = c_1 holds. Raises InfeasiblePoint when
     F(x_hat) is not PSD and NoDualCertificate when the kernel is empty or
-    admits no consistent scaling (both mean x_hat is not optimal).
+    admits no non-negative scaling (both mean x_hat is not optimal).
     """
+    if len(problem.fis) != 1:
+        raise InputError(f"duality_check takes one variable, got {len(problem.fis)}")
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    if x_hat.shape[0] != len(problem.fis):
-        raise InputError(
-            f"{x_hat.shape[0]} variables for {len(problem.fis)} constraint matrices"
-        )
-    f_at = problem.f0 + np.tensordot(x_hat, np.stack(problem.fis), axes=1)
+    if x_hat.shape[0] != 1:
+        raise InputError(f"{x_hat.shape[0]} variables for 1 constraint matrices")
+    f_at = problem.f0 + x_hat[0] * problem.fis[0]
     f_at = 0.5 * (f_at + f_at.conj().T)
     scale = max(1.0, matcore.frob(f_at))
     eig = matcore.hermitian_eig(f_at)
@@ -526,24 +511,13 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
         raise NoDualCertificate("F(x) is positive definite; no active constraint")
     z0 = kernel @ kernel.conj().T
 
-    zeta = None
-    for i, fi in enumerate(problem.fis):
-        ti = float(np.real(np.trace(fi @ z0)))
-        ci = float(problem.c[i])
-        if abs(ti) <= 1e-10:
-            if abs(ci) > 1e-10:
-                raise NoDualCertificate(
-                    "kernel projector cannot satisfy the dual equality constraints"
-                )
-            continue
-        cand = ci / ti
-        if zeta is None:
-            zeta = cand
-        elif abs(cand - zeta) > 1e-6 * max(1.0, abs(zeta)):
-            raise NoDualCertificate("inconsistent dual scaling across constraints")
-    if zeta is None or zeta < 0.0:
+    t1 = float(np.real(np.trace(problem.fis[0] @ z0)))
+    c1 = float(problem.c[0])
+    if abs(t1) <= 1e-10 and abs(c1) > 1e-10:
+        raise NoDualCertificate("kernel projector cannot satisfy the dual equality constraints")
+    if abs(t1) <= 1e-10 or c1 / t1 < 0.0:
         raise NoDualCertificate("no nonnegative dual scaling exists")
-    z = zeta * z0
+    z = (c1 / t1) * z0
 
     primal = float(problem.c @ x_hat)
     dual = -float(np.real(np.trace(problem.f0 @ z)))

@@ -73,6 +73,18 @@ def test_oracle_command(capsys):
     assert report["oracle"]["slackness"] <= 1e-6
 
 
+@pytest.mark.parametrize("mat", [
+    np.diag([1.0, 0, 0, 0]),  # product
+    np.outer([0.5 ** 0.5, 0, 0, 0.5 ** 0.5], [0.5 ** 0.5, 0, 0, 0.5 ** 0.5]),  # Bell
+    np.outer([0.6, 0.3, 0.1, 0.54 ** 0.5], [0.6, 0.3, 0.1, 0.54 ** 0.5]),  # entangled pure
+    np.diag([0.5, 0.5, 0, 0]),  # |0><0| (x) I/2, no spin-flip weight
+], ids=["product", "bell", "pure", "flip_free"])
+def test_oracle_on_pure_and_flip_free_raw_states(capsys, mat):
+    spec = {"family": "raw", "dims": [2, 2], "re": mat.tolist()}
+    report = run_json(capsys, "oracle", "--input", json.dumps(spec))
+    assert report["oracle"]["delta"] <= 1e-9
+
+
 def test_decompose_verify_round_trip(capsys, tmp_path):
     report = run_json(
         capsys, "decompose", "--input", '{"family":"bd23","p":[0.5,0.1,0.1,0.1,0.1,0.1]}'
@@ -136,6 +148,22 @@ def test_verify_rejects_a_lambda_that_is_not_a_number(capsys, value):
     assert code == 2
     assert ("error (InputError): malformed report field 'lambda': "
             f"expected a number, got {value!r}") in err
+
+
+def test_verify_rejects_matrix_block_entries_that_are_not_numbers(capsys):
+    report = run_json(capsys, "decompose", "--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}')
+    text = json.loads(json.dumps(report))
+    text["separable"]["re"] = [[str(v) for v in row] for row in text["separable"]["re"]]
+    code, _, err = run_cli(capsys, "verify", "--input", json.dumps(text))
+    assert code == 2
+    first = repr(str(report["separable"]["re"][0][0]))
+    assert ("error (InputError): malformed report field 'separable': "
+            f"field 're': expected a number, got {first}") in err
+    report["entangled"]["im"][0][0] = False
+    code, _, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert code == 2
+    assert ("error (InputError): malformed report field 'entangled': "
+            "field 'im': expected a number, got False") in err
 
 
 @pytest.mark.parametrize("report", ['"schema, input, lambda, separable"', "[1, 2]"])

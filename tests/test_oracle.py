@@ -226,11 +226,11 @@ def test_search_reads_matrix_blocks_in_their_own_coordinates():
     # max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0 is tr rho = 1;
     # rho does not commute with the generators, so the state constraint and
     # the region are two 2x2 blocks of one matrix inequality
-    gens = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]], dtype=complex)
-    region = np.array([[[1, 0, 0], [0, 0, 1]], [[0, 0, 1], [0, 1, 0]]], dtype=float)
+    # (the half-weight third generator puts the all-ones start inside)
+    gens = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0.5], [0.5, 0]]], dtype=complex)
+    region = np.array([[[1, 0, 0], [0, 0, 0.5]], [[0, 0, 0.5], [0, 1, 0]]], dtype=float)
     fam = orc.SeparableFamily(
-        name="psd2", dims=(2,), gens=gens, rows=np.zeros((0, 3)),
-        blocks=region[None], start=np.array([1.0, 1.0, 0.0]),
+        name="psd2", dims=(2,), gens=gens, rows=np.zeros((0, 3)), blocks=region[None],
     )
     rho = st.DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]), (2,))
     lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
@@ -238,8 +238,25 @@ def test_search_reads_matrix_blocks_in_their_own_coordinates():
 
 
 def test_search_separable_state_reaches_one():
-    lam, _ = orc.bsa_search(st.make_werner(2, 0.3), orc.werner_family(2))
-    assert lam == pytest.approx(1.0, abs=1e-7)
+    for spec in (st.Werner(d=2, f=0.3), st.Werner(d=4, f=0.9), st.Isotropic(d=3, F=0.2),
+                 st.Horodecki33(alpha=2.5), st.MultiIso(d=2, n=3, s=0.1)):
+        lam, _ = orc.bsa_search(st.build(spec), orc.family_for_spec(spec))
+        assert lam == pytest.approx(1.0, abs=1e-7), spec
+
+
+@pytest.mark.parametrize("ends", [
+    (st.Werner(d=3, f=0.0), st.Werner(d=3, f=1.0)),
+    (st.Isotropic(d=3, F=0.0), st.Isotropic(d=3, F=1 / 3)),
+    (st.Horodecki33(alpha=2.0), st.Horodecki33(alpha=3.0)),
+    (st.MultiIso(d=2, n=3, s=0.0), st.MultiIso(d=2, n=3, s=0.2)),
+])
+def test_one_parameter_family_spans_its_separable_end_states(ends):
+    # each end state is separable, and the family's two generators are them
+    fam = orc.family_for_spec(ends[0])
+    assert fam.gens.shape[0] == 2 and fam.blocks.shape[0] == 0
+    for spec, gen in zip(ends, fam.gens):
+        assert orc.separability.family_region(spec).status == "separable"
+        assert np.allclose(gen, st.build(spec).mat, atol=1e-15)
 
 
 def test_search_is_deterministic():
@@ -311,6 +328,13 @@ def test_duality_weak_duality_on_random_optima():
         assert rep.gap >= -1e-9
         assert rep.gap <= 1e-6
         assert rep.slackness_residual <= 1e-6
+
+
+def test_duality_check_takes_one_variable():
+    rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
+    prob = orc.SdpProblem(c=np.array([-1.0, 0.0]), f0=rho.mat, fis=(-rho.mat, -rho.mat))
+    with pytest.raises(InputError, match="duality_check takes one variable, got 2"):
+        orc.duality_check(prob, np.array([0.5, 0.0]))
 
 
 def test_duality_rank_deficient_candidate():

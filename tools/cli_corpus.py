@@ -263,6 +263,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("list", [report]),
         ("lambda_numeric_text", edit(lambda r: r.update({"lambda": str(r["lambda"])}))),
         ("lambda_bool", edit(lambda r: r.update({"lambda": True}))),
+        ("separable_re_text", edit(lambda r: r["separable"].update(
+            {"re": [[str(v) for v in row] for row in r["separable"]["re"]]}))),
+        ("entangled_im_bool", edit(lambda r: r["entangled"]["im"][0].__setitem__(0, False))),
     ]
 
 
@@ -296,6 +299,9 @@ def run_corpus() -> None:
     inputs = [(g, json.dumps(s)) for g, s in random_specs(rng, PER_FAMILY) + edge_specs()]
     inputs += malformed_inputs()
     inputs += [(g, json.dumps(s)) for g, s in near_pure_specs()]  # after, so the ids above stay put
+    # |0><0| (x) I/2 has no spin-flip weight; |00><00| and a Bell state are in edge_specs
+    flip_free = np.diag([0.5, 0.5, 0.0, 0.0]).tolist()
+    inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": flip_free})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
