@@ -44,9 +44,12 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """A real field: JSON numbers are accepted; booleans and text are not."""
+    """A real field: finite JSON numbers are accepted; booleans, text, NaN
+    and infinities are not."""
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -61,11 +64,13 @@ def _decode(field: str, tp, value):
 
 def _real_array(field: str, value) -> np.ndarray:
     """A matrix part: nested lists whose every entry passes `_number`. A
-    list of rows of JSON numbers is read in one pass; anything else is
-    walked entry by entry, so the error names the first bad entry."""
+    list of rows of finite JSON numbers is read in one pass; anything else
+    is walked entry by entry, so the error names the first bad entry."""
     try:
         if set(map(type, itertools.chain.from_iterable(value))) <= {int, float}:
-            return np.asarray(value, dtype=float)
+            arr = np.asarray(value, dtype=float)
+            if np.isfinite(arr).all():
+                return arr
     except (TypeError, ValueError):
         pass
     arr = np.asarray(value, dtype=object)
@@ -353,10 +358,32 @@ def _selftest() -> tuple[dict, bool]:
     return report, ok
 
 
+# encodes in C, since its indent is None
+_SCALAR = json.JSONEncoder(allow_nan=False)
+
+
+def _dump(obj, pad: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`, with
+    the containers indented here; a list of plain numbers, such as a matrix
+    row, is encoded in one call (no number's repr contains ", ")."""
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) <= {int, float}:
+            return "[" + inner + _SCALAR.encode(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
+        return "[" + inner + ("," + inner).join(_dump(item, inner) for item in obj) + pad + "]"
+    return _SCALAR.encode(obj)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2, allow_nan=False))
-        sys.stdout.write("\n")
+        try:
+            text = _dump(report)
+        except ValueError:  # NaN or infinity: the stock message names the value
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write(text + "\n")
         return
     _emit_text(report, indent="")
 

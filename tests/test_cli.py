@@ -1,6 +1,7 @@
 """Command-line interface: schemas, round trips, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -402,3 +403,92 @@ def test_werner_and_isotropic_sizes_are_capped(capsys, command, spec):
     assert "error (InputError): d*d = 81 exceeds the supported maximum 64" in err
     smaller = json.dumps({**spec, "d": 8})
     assert run_json(capsys, "decompose", "--input", smaller)["lambda"] < 1.0
+
+
+def _stock(report) -> str:
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+COMPLEX_RAW = {  # a 2x2 state with a nonzero imaginary part
+    "family": "raw", "dims": [2, 2],
+    "re": [[0.4, 0.0, 0.0, 0.3], [0.0, 0.1, 0.0, 0.0], [0.0, 0.0, 0.1, 0.0], [0.3, 0.0, 0.0, 0.4]],
+    "im": [[0.0, 0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0]],
+}
+BD22 = {"family": "bd22", "p": [0.7, 0.1, 0.1, 0.1]}
+MULTI_ISO_64 = {"family": "multi_iso", "d": 2, "n": 6, "s": 0.5}
+
+
+@pytest.mark.parametrize("argv", [
+    *[("decompose", *flag, "--input", json.dumps(spec))
+      for spec in (BD22, MULTI_ISO_64, COMPLEX_RAW) for flag in ((), ("--oracle",))],
+    ("separability", "--input", json.dumps(MULTI_ISO_64)),
+    ("concurrence", "--input", json.dumps(COMPLEX_RAW)),
+    ("oracle", "--input", json.dumps(COMPLEX_RAW)),
+    ("selftest",),
+], ids=["decompose_bd22", "decompose_oracle_bd22", "decompose_multi_iso_64",
+        "decompose_oracle_multi_iso_64", "decompose_raw_complex", "decompose_oracle_raw_complex",
+        "separability", "concurrence", "oracle", "selftest"])
+def test_reports_print_as_the_stock_encoder_does(capsys, monkeypatch, argv):
+    emitted = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda report, fmt: (emitted.append(report), emit(report, fmt)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert len(emitted) == 1 and out == _stock(emitted[0])
+    if argv[0] == "decompose":  # and the report it verifies
+        emitted.clear()
+        code, again, err = run_cli(capsys, "verify", "--input", out)
+        assert code == 0, err
+        assert again == _stock(emitted[0])
+
+
+def test_hand_made_report_prints_as_the_stock_encoder_does():
+    report = {
+        "empty_object": {}, "empty_list": [], "nested": {"inner": {}, "rows": [[], [1, 2.5]]},
+        "text": "a, b, and c", "unicode": "fidélité ≥ 1/d", "flags": [True, False, None],
+        "mixed": [1, "1", 1.0, True, None, {"k": [-0.0, 5e-324, 1e300]}],
+        "oracle": {"gap": None, "slackness": None,
+                   "duality_note": "no dual certificate: A, B, C (tol=1e-09)"},
+        "numbers": [0, -1, 2 ** 70, 0.1, -2.5e-17, 1e22], "float64": np.float64(0.25),
+    }
+    assert cli._dump(report) + "\n" == _stock(report)
+
+
+def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    report["input"]["note"] = float("nan")  # ignored by the parser, echoed by verify
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert code == 2 and out == ""
+    assert err == "error (ValueError): Out of range float values are not JSON compliant: nan\n"
+
+
+@pytest.mark.parametrize("field, edit, value", [
+    ("lambda", lambda r: r.update({"lambda": float("nan")}), "nan"),
+    ("lambda", lambda r: r.update({"lambda": float("inf")}), "inf"),
+    ("lambda", lambda r: r.update({"lambda": float("-inf")}), "-inf"),
+    ("entangled", lambda r: r["entangled"]["re"][1].__setitem__(2, float("nan")), "nan"),
+], ids=["lambda_nan", "lambda_inf", "lambda_minus_inf", "entangled_re_nan"])
+def test_verify_rejects_non_finite_report_numbers(capsys, field, edit, value):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    text = json.dumps(_broken(report, edit))  # writes NaN and Infinity, which json.loads reads
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--input", text)
+    assert code == 2 and out == ""
+    part = "field 're': " if field == "entangled" else ""
+    assert err == (f"error (InputError): malformed report field {field!r}: {part}"
+                   f"expected a finite number, got {value}\n")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("spec, field", [
+    ({"family": "werner", "d": 2, "f": float("nan")}, "f"),
+    ({"family": "bd22", "p": [float("inf"), 0, 0, 0]}, "p"),
+    ({"family": "raw", "dims": [2, 2], "re": [[float("nan")] * 4] * 4}, "re"),
+])
+def test_parse_spec_rejects_non_finite_numbers(capsys, spec, field):
+    code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+    assert code == 2
+    assert (f"error (InputError): malformed fields for family {spec['family']!r}: "
+            f"field {field!r}: expected a finite number, got ") in err

@@ -266,6 +266,11 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("separable_re_text", edit(lambda r: r["separable"].update(
             {"re": [[str(v) for v in row] for row in r["separable"]["re"]]}))),
         ("entangled_im_bool", edit(lambda r: r["entangled"]["im"][0].__setitem__(0, False))),
+        # non-finite numbers, written as NaN and Infinity, which json.loads reads
+        ("lambda_nan", edit(lambda r: r.update({"lambda": math.nan}))),
+        ("lambda_inf", edit(lambda r: r.update({"lambda": math.inf}))),
+        ("entangled_re_nan", edit(lambda r: r["entangled"]["re"][1].__setitem__(2, math.nan))),
+        ("input_extra_nan", edit(lambda r: r["input"].update({"note": math.nan}))),
     ]
 
 
