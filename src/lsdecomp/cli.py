@@ -44,13 +44,16 @@ def _integer(value) -> int:
 
 
 def _number(value) -> float:
-    """A real field: finite JSON numbers are accepted; booleans, text, NaN
-    and infinities are not."""
+    """A real field: finite JSON numbers are accepted; booleans, text, NaN,
+    infinities and integers too large for a float are not."""
     if type(value) not in (int, float):
         raise ValueError(f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond float range, whose digits are not echoed
+        raise ValueError("expected a finite number, got an integer beyond float range") from None
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def _decode(field: str, tp, value):
@@ -71,7 +74,7 @@ def _real_array(field: str, value) -> np.ndarray:
             arr = np.asarray(value, dtype=float)
             if np.isfinite(arr).all():
                 return arr
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     arr = np.asarray(value, dtype=object)
     for entry in arr.flat:
@@ -138,8 +141,8 @@ def _read_input(path: str) -> dict:
 
 
 def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, seed: int) -> dict:
-    rho = build(spec)
     dec = lsd.decompose(spec)
+    rho = dec.state
     check = lsd.verify(rho, dec)
     report = {
         "schema": SCHEMA,
@@ -161,21 +164,22 @@ def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, see
     if tuple(rho.dims) == (2, 2):
         report["concurrence"] = wootters.concurrence(rho)
     if with_oracle:
-        report["oracle"] = _oracle_block(spec, rho, dec, tol, seed)
+        report["oracle"] = _oracle_block(spec, dec, tol, seed)
     return report
 
 
-def _oracle_block(spec: StateSpec, rho: DensityMatrix, dec, tol: float | None, seed: int) -> dict:
+def _oracle_block(spec: StateSpec, dec: lsd.LSDecomposition, tol: float | None, seed: int) -> dict:
     family = oracle.family_for_spec(spec)
     search_tol = tol if tol is not None else 1e-7
-    lam_num, sigma = oracle.bsa_search(rho, family, tol=search_tol, seed=seed)
+    lam_num, sigma = oracle.bsa_search(dec.state, family, tol=search_tol, seed=seed)
     block = {
         "lambda_numeric": lam_num,
         "delta": abs(lam_num - dec.lam),
         "family_restricted": True,
     }
     try:
-        rep = oracle.duality_check(oracle.bsa_as_sdp(rho, dec.separable_part), np.array([dec.lam]))
+        sdp = oracle.bsa_as_sdp(dec.state, dec.separable_part)
+        rep = oracle.duality_check(sdp, np.array([dec.lam]))
         block["gap"] = rep.gap
         block["slackness"] = rep.slackness_residual
     except LsdError as exc:
@@ -214,7 +218,6 @@ def _concurrence_report(spec: StateSpec) -> dict:
 
 
 def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
-    rho = build(spec)
     dec = lsd.decompose(spec)
     return {
         "schema": "lsd-oracle/1",
@@ -222,7 +225,7 @@ def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
         "input": spec_to_json(spec),
         "lambda_closed": dec.lam,
         "method": dec.method,
-        "oracle": _oracle_block(spec, rho, dec, tol, seed),
+        "oracle": _oracle_block(spec, dec, tol, seed),
     }
 
 
@@ -230,9 +233,9 @@ def _block_matrix(block) -> np.ndarray:
     return _real_array("re", block["re"]) + 1j * _real_array("im", block["im"])
 
 
-def _read_report(report) -> tuple[DensityMatrix, float, DensityMatrix, np.ndarray]:
-    """The state, weight, separable part and entangled part of a
-    decomposition report; InputError names the first malformed field."""
+def _read_report(report) -> lsd.LSDecomposition:
+    """The decomposition a report describes, with the state it names;
+    InputError names the first malformed field."""
     if not isinstance(report, dict):
         raise InputError(f"report must be a JSON object, got {type(report).__name__}")
     for key in ("schema", "input", "lambda", "separable"):
@@ -255,18 +258,13 @@ def _read_report(report) -> tuple[DensityMatrix, float, DensityMatrix, np.ndarra
     if ent.shape != rho.mat.shape:
         raise InputError(f"malformed report field 'entangled': shape {ent.shape} "
                          f"does not match the state's {rho.mat.shape}")
-    return rho, lam, DensityMatrix(*sep), ent
+    method = str(report.get("method", "unknown"))
+    return lsd.LSDecomposition(lam, DensityMatrix(*sep), ent, method, state=rho)
 
 
 def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
-    rho, lam, sep, ent = _read_report(report)
-    dec = lsd.LSDecomposition(
-        lam=lam,
-        separable_part=sep,
-        entangled_part=ent,
-        method=str(report.get("method", "unknown")),
-    )
-    check = lsd.verify(rho, dec)
+    dec = _read_report(report)
+    check = lsd.verify(dec.state, dec)
     recon_tol = tol if tol is not None else 1e-10
     sep_ok = check.separable_verdict.status != separability.ENTANGLED
     checks = {
@@ -278,7 +276,7 @@ def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
         "residual_psd_ok": bool(check.residual_min_eig >= -1e-9),
         "residual_rank": check.residual_rank,
         "residual_purity": check.entangled_purity,
-        "lambda": lam,
+        "lambda": dec.lam,
     }
     ok = checks["reconstruction_ok"] and checks["separable_ok"] and checks["residual_psd_ok"]
     out = {

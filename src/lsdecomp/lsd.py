@@ -59,12 +59,14 @@ class LSDecomposition:
     `entangled_part` is the unnormalized PSD residual of trace 1 - lam (zero
     for separable states). `method` names the formula used ("bd22",
     "wootters", ...), with a "/separable" or "/pure" suffix when lam is 1 or 0.
+    `state` is rho, the state that was split.
     """
 
     lam: float
     separable_part: DensityMatrix
     entangled_part: np.ndarray
     method: str
+    state: DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -107,16 +109,11 @@ def _assemble(
     if abs(tr - (1.0 - lam)) > 1e-9:
         raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
     _certify_separable(sep, region)
-    return LSDecomposition(lam=lam, separable_part=sep, entangled_part=ent, method=method)
+    return LSDecomposition(lam, sep, ent, method, rho)
 
 
 def _separable_case(rho: DensityMatrix, method: str) -> LSDecomposition:
-    return LSDecomposition(
-        lam=1.0,
-        separable_part=rho,
-        entangled_part=np.zeros_like(rho.mat),
-        method=method + "/separable",
-    )
+    return LSDecomposition(1.0, rho, np.zeros_like(rho.mat), method + "/separable", rho)
 
 
 # --------------------------------------------------------------------------
@@ -138,6 +135,8 @@ def _pure_residual(rho, make, region, p: np.ndarray, chambers, method: str) -> L
     would magnify the loss. At lam <= 1e-14 the state is pure and the
     separable part is the uniform mixture. Keeps the largest lam whose
     weights pass `region`; DecompositionUnavailable when none does.
+    `rho` is built from the caller's weights, as `build` builds it: built
+    from the cleaned `p`, it could lie an ulp away.
     """
     best = None
     for k, extra in chambers:
@@ -167,8 +166,8 @@ def lsd_bd22(p) -> LSDecomposition:
     octahedron boundary (p'_k = 1/2, others p_i / lam), and the residual is
     the pure Bell projector with weight 2 p_k - 1.
     """
-    p = clean_probabilities(p, 4)
     rho = make_bd22(p)
+    p = clean_probabilities(p, 4)
     k = int(np.argmax(p))
     if p[k] <= 0.5:
         return _separable_case(rho, "bd22")
@@ -185,8 +184,8 @@ def lsd_icd(theta: float, p) -> LSDecomposition:
     root; the separable part saturates the same inequality and the residual
     is pure on basis vector k.
     """
-    p = clean_probabilities(p, 4)
     rho = make_icd(theta, p)
+    p = clean_probabilities(p, 4)
     region = separability.icd_region(theta, p)
     if region.is_separable:
         return _separable_case(rho, "icd")
@@ -209,8 +208,8 @@ def lsd_bd23(p) -> LSDecomposition:
     the state lies outside the covered closed form and
     DecompositionUnavailable is raised.
     """
-    p = clean_probabilities(p, 6)
     rho = make_bd23(p)
+    p = clean_probabilities(p, 6)
     if separability.bd23_region(p).is_separable:
         return _separable_case(rho, "bd23")
     chambers = []

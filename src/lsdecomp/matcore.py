@@ -40,13 +40,6 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def is_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        return False
-    return frob(a - dagger(a)) <= rtol * max(1e-300, frob(a))
-
-
 def _require_square_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:

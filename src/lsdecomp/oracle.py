@@ -195,13 +195,15 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     two basis vectors that leaves the single candidate of equal weights.
     With no flip weight rho is separable and is its own family. A pure rho
     with one is entangled, and rho - L sigma >= 0 with L > 0 forces sigma =
-    rho, so its family is I/4, of weight 0.
+    rho, so its family is I/4, of weight 0. A mixed rho with one has its
+    optimal separable part outside the flip basis: NumericalError.
     """
     wd = wootters.wootters_basis(rho)
     gens = _projectors(wd.x_prime_vectors[wd.lambdas > 1e-12])
     m = gens.shape[0]
     if m == 1 and np.vdot(rho.mat, rho.mat).real <= 1.0 - 1e-12:  # not pure
-        raise NumericalError("spin-flip basis supports no separable candidates")
+        raise NumericalError("the state has one spin-flip weight; the flip-basis family "
+                             "holds no separable candidate for it and cannot check it")
     if m < 2:
         gen = rho.mat if m == 0 else np.eye(4) / 4.0
         return _cone_family("wootters", (2, 2), gen[None], np.eye(1))

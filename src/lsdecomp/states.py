@@ -47,12 +47,14 @@ class DensityMatrix:
             raise InputError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
-        if not matcore.is_hermitian(mat):
+        norm = matcore.frob(mat)
+        if matcore.frob(mat - matcore.dagger(mat)) > matcore.HERM_RTOL * max(1e-300, norm):
             raise InputError("density matrix is not Hermitian within 1e-12")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-12:
             raise InputError(f"trace is {tr:.15g}, expected 1 within 1e-12")
-        if not matcore.is_psd(mat):
+        # the PSD test of matcore.is_psd, on the norm and Hermiticity found above
+        if float(np.linalg.eigvalsh(mat)[0]) < -matcore.PSD_TOL * max(1.0, norm):
             raise InputError("density matrix is not PSD within tolerance")
         mat = mat.copy()
         mat.setflags(write=False)

@@ -86,6 +86,18 @@ def test_oracle_on_pure_and_flip_free_raw_states(capsys, mat):
     assert report["oracle"]["delta"] <= 1e-9
 
 
+def test_oracle_names_the_one_flip_weight_limit(capsys):
+    phi = np.array([1.0, 0, 0, 1.0]) / 2 ** 0.5
+    mat = 0.6 * np.outer(phi, phi) + 0.4 * np.diag([0, 1.0, 0, 0])  # 0.6 Phi+ + 0.4 |01><01|
+    spec = json.dumps({"family": "raw", "dims": [2, 2], "re": mat.tolist()})
+    run_json(capsys, "decompose", "--input", spec)  # exits 0
+    for argv in (("oracle",), ("decompose", "--oracle")):
+        code, out, err = run_cli(capsys, *argv, "--input", spec)
+        assert code == 3 and out == ""
+        assert err == ("error (NumericalError): the state has one spin-flip weight; the "
+                       "flip-basis family holds no separable candidate for it and cannot check it\n")
+
+
 def test_decompose_verify_round_trip(capsys, tmp_path):
     report = run_json(
         capsys, "decompose", "--input", '{"family":"bd23","p":[0.5,0.1,0.1,0.1,0.1,0.1]}'
@@ -467,7 +479,11 @@ def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):
     ("lambda", lambda r: r.update({"lambda": float("inf")}), "inf"),
     ("lambda", lambda r: r.update({"lambda": float("-inf")}), "-inf"),
     ("entangled", lambda r: r["entangled"]["re"][1].__setitem__(2, float("nan")), "nan"),
-], ids=["lambda_nan", "lambda_inf", "lambda_minus_inf", "entangled_re_nan"])
+    ("lambda", lambda r: r.update({"lambda": 10**400}), "an integer beyond float range"),
+    ("entangled", lambda r: r["entangled"]["re"][1].__setitem__(2, -10**400),
+     "an integer beyond float range"),
+], ids=["lambda_nan", "lambda_inf", "lambda_minus_inf", "entangled_re_nan", "lambda_huge",
+        "entangled_re_huge"])
 def test_verify_rejects_non_finite_report_numbers(capsys, field, edit, value):
     report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
     text = json.dumps(_broken(report, edit))  # writes NaN and Infinity, which json.loads reads
@@ -486,9 +502,35 @@ def test_verify_rejects_non_finite_report_numbers(capsys, field, edit, value):
     ({"family": "werner", "d": 2, "f": float("nan")}, "f"),
     ({"family": "bd22", "p": [float("inf"), 0, 0, 0]}, "p"),
     ({"family": "raw", "dims": [2, 2], "re": [[float("nan")] * 4] * 4}, "re"),
+    ({"family": "werner", "d": 2, "f": 10**400}, "f"),
+    ({"family": "bd22", "p": [10**400, 0, 0, 0]}, "p"),
+    ({"family": "raw", "dims": [2, 2], "re": [[0.25, 0, 0, 0], [0, 0.25, -10**400, 0],
+                                              [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}, "re"),
 ])
 def test_parse_spec_rejects_non_finite_numbers(capsys, spec, field):
     code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
     assert code == 2
     assert (f"error (InputError): malformed fields for family {spec['family']!r}: "
             f"field {field!r}: expected a finite number, got ") in err
+    assert "0000" not in err  # a huge integer's digits are not echoed
+
+
+SEPARABLE_BD22 = {"family": "bd22", "p": [  # renormalized twice, its state moves by an ulp
+    0.09358658134961685, 0.004869238048927678, 0.4857131178516458, 0.4158310627498098]}
+
+
+def test_separable_split_reconstructs_its_state_exactly(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(SEPARABLE_BD22))
+    assert report["lambda"] == 1.0
+    assert report["checks"]["reconstruction_error"] == 0.0
+    assert report["checks"]["residual_min_eig"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [("decompose", "--oracle"), ("oracle",)])
+@pytest.mark.parametrize("spec", [BD22, SEPARABLE_BD22, COMPLEX_RAW], ids=["bd22", "bd22_sep", "raw"])
+def test_decompose_and_oracle_build_each_state_once(capsys, monkeypatch, argv, spec):
+    def refuse(*_):
+        raise AssertionError("the state was built a second time")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    run_json(capsys, *argv, "--input", json.dumps(spec))

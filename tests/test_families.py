@@ -61,6 +61,17 @@ def test_unknown_spec_type_is_rejected():
             dispatcher(NotASpec())
 
 
+# renormalizing these weights twice moves the built state by an ulp
+BD22_ULP = st.BD22(p=(0.09358658134961685, 0.004869238048927678, 0.4857131178516458,
+                      0.4158310627498098))
+
+
+@pytest.mark.parametrize("spec", [*SAMPLES, BD22_ULP],
+                         ids=[type(s).__name__ for s in SAMPLES] + ["BD22_ulp"])
+def test_decompose_splits_the_state_build_makes(spec):
+    assert np.array_equal(lsd.decompose(spec).state.mat, st.build(spec).mat)
+
+
 @pytest.mark.parametrize("spec", SAMPLES, ids=lambda s: type(s).__name__)
 def test_missing_field_exits_2(spec, capsys):
     obj = cli.spec_to_json(spec)

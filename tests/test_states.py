@@ -236,3 +236,33 @@ def test_density_matrix_rejects_with_input_error(mat, dims, message):
     assert isinstance(info.value, ValueError)
     with pytest.raises(InputError, match=message):
         st.make_raw(dims, mat)
+
+
+def test_density_matrix_accepts_exactly_hermitian_psd_matrices():
+    # unit-trace 4x4 matrices near both boundaries: an anti-Hermitian part of relative
+    # size about 1e-12 and a smallest eigenvalue about -1e-9 (the PSD tolerance at norm <= 1)
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for _ in range(400):
+        w = rng.dirichlet(np.ones(4))
+        if rng.random() < 0.5:
+            w[0] = rng.uniform(-1.2e-9, -0.8e-9)
+        w[1:] *= (1.0 - w[0]) / w[1:].sum()
+        v = random_unitary(rng, 4)
+        mat = (v * w) @ v.conj().T
+        mat = 0.5 * (mat + mat.conj().T)
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        skew = g - g.conj().T
+        np.fill_diagonal(skew, 0.0)
+        skew *= rng.uniform(0.8e-12, 1.2e-12) * mc.frob(mat) / mc.frob(2.0 * skew)
+        mat = mat + skew
+        hermitian = mc.frob(mat - mat.conj().T) <= 1e-12 * mc.frob(mat)
+        expected = hermitian and mc.is_psd(mat)
+        try:
+            st.DensityMatrix(mat, (2, 2))
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == expected
+        outcomes.add((hermitian, expected))
+    assert outcomes == {(False, False), (True, False), (True, True)}

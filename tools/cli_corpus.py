@@ -271,6 +271,7 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("lambda_inf", edit(lambda r: r.update({"lambda": math.inf}))),
         ("entangled_re_nan", edit(lambda r: r["entangled"]["re"][1].__setitem__(2, math.nan))),
         ("input_extra_nan", edit(lambda r: r["input"].update({"note": math.nan}))),
+        ("lambda_huge", edit(lambda r: r.update({"lambda": 10**400}))),
     ]
 
 
@@ -307,6 +308,19 @@ def run_corpus() -> None:
     # |0><0| (x) I/2 has no spin-flip weight; |00><00| and a Bell state are in edge_specs
     flip_free = np.diag([0.5, 0.5, 0.0, 0.0]).tolist()
     inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": flip_free})))
+    # integers beyond float range, in a spec field, a probability and a raw entry
+    huge = 10**400
+    quarter = (np.eye(4) / 4).tolist()
+    quarter[1][2] = huge
+    inputs += [("bad", json.dumps(spec)) for spec in (
+        {"family": "werner", "d": 2, "f": huge},
+        {"family": "bd22", "p": [huge, 0, 0, 0]},
+        {"family": "raw", "dims": [2, 2], "re": quarter},
+    )]
+    # 0.6|Phi+><Phi+| + 0.4|01><01| has one spin-flip weight
+    one_flip = np.diag([0.3, 0.4, 0.0, 0.3])
+    one_flip[0, 3] = one_flip[3, 0] = 0.3
+    inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": one_flip.tolist()})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
