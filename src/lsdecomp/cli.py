@@ -362,16 +362,21 @@ _SCALAR = json.JSONEncoder(allow_nan=False)
 
 def _dump(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`, with
-    the containers indented here; a list of plain numbers, such as a matrix
-    row, is encoded in one call (no number's repr contains ", ")."""
+    the containers indented here; a matrix of plain numbers, such as a
+    report's `re` block, is encoded in one call and split at its separators
+    (no number's repr contains ", " or "], [")."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= {int, float}:
-            return "[" + inner + _SCALAR.encode(obj)[1:-1].replace(", ", "," + inner) + pad + "]"
-        return "[" + inner + ("," + inner).join(_dump(item, inner) for item in obj) + pad + "]"
+        if all(isinstance(row, (list, tuple)) and set(map(type, row)) <= {int, float} for row in obj):
+            deeper = inner + "  "
+            rows = ("[" + deeper + row.replace(", ", "," + deeper) + inner + "]" if row else "[]"
+                    for row in _SCALAR.encode(obj)[2:-2].split("], ["))
+        else:
+            rows = (_dump(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
     return _SCALAR.encode(obj)
 
 

@@ -78,11 +78,19 @@ class VerificationReport:
     entangled_purity: float | None
 
 
-def _certify_separable(sep: DensityMatrix, region: SeparabilityVerdict | None) -> None:
-    """Require the separable part to pass its region test (or PPT where decisive)."""
+def _ppt_tol(lam: float) -> float:
+    """PPT tolerance for a separable part of weight 0 < lam < 1: PPT_TOL on
+    the unnormalized part lam * sep, the scale of every other check on the
+    split, since the rounding in sep = (lam * sep) / lam grows as 1 / lam."""
+    return separability.PPT_TOL / lam if 0.0 < lam < 1.0 else separability.PPT_TOL
+
+
+def _certify_separable(sep: DensityMatrix, region: SeparabilityVerdict | None, lam: float) -> None:
+    """Require the separable part to pass its region test, or else PPT (where
+    decisive) on the weighted part lam * sep."""
     verdict = region
     if verdict is None:
-        verdict = separability.ppt_check(sep)
+        verdict = separability.ppt_check(sep, _ppt_tol(lam))
     if not verdict.is_separable:
         raise NumericalError(
             f"separable part failed its separability check: {verdict}"
@@ -108,7 +116,7 @@ def _assemble(
     tr = float(np.real(np.trace(ent)))
     if abs(tr - (1.0 - lam)) > 1e-9:
         raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
-    _certify_separable(sep, region)
+    _certify_separable(sep, region, lam)
     return LSDecomposition(lam, sep, ent, method, rho)
 
 
@@ -340,7 +348,8 @@ def verify(rho: DensityMatrix, dec: LSDecomposition) -> VerificationReport:
 
     The implied residual rho - lam * separable_part is compared with the
     stored entangled part; its minimum eigenvalue flags infeasible weights.
-    Rank counts eigenvalues above 1e-8 times the residual trace.
+    Rank counts eigenvalues above 1e-8 times the residual trace. The PPT
+    test of the separable part is held to PPT_TOL on lam * separable_part.
     """
     if dec.separable_part.mat.shape != rho.mat.shape:
         raise InputError(
@@ -361,12 +370,12 @@ def verify(rho: DensityMatrix, dec: LSDecomposition) -> VerificationReport:
 
     sep = dec.separable_part
     if len(sep.dims) == 2:
-        verdict = separability.ppt_check(sep)
+        verdict = separability.ppt_check(sep, _ppt_tol(dec.lam))
     else:
         # multipartite: PPT across the first-vs-rest cut (necessary condition)
         cut = (sep.dims[0], int(np.prod(sep.dims[1:])))
         flat = DensityMatrix(sep.mat, cut)
-        verdict = separability.ppt_check(flat)
+        verdict = separability.ppt_check(flat, _ppt_tol(dec.lam))
     return VerificationReport(
         residual_norm=residual_norm,
         separable_verdict=verdict,

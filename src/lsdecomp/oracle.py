@@ -75,9 +75,7 @@ def lambda_max_fixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     exact; rho^(-1/2) rho rho^(-1/2) would carry rounding of eps / min_eig.
     """
     if rho.mat.shape != sigma.mat.shape:
-        raise InputError(
-            f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
-        )
+        raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
     eig = matcore.hermitian_eig(rho.mat)
     keep = eig.values > SUPPORT_CUT
     inside = eig.vectors[:, keep].conj().T @ sigma.mat @ eig.vectors[:, keep]
@@ -94,9 +92,7 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
     below `tol` so the two routes agree to `tol`.
     """
     if rho.mat.shape != sigma.mat.shape:
-        raise InputError(
-            f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
-        )
+        raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
     psd_tol = min(1e-12, tol * 1e-3)
     if matcore.is_psd(rho.mat - sigma.mat, psd_tol):
         return 1.0
@@ -312,22 +308,24 @@ def _lmi(rho_mat: np.ndarray, shift: float, fam: SeparableFamily):
     return (a0, np.vstack([rows[1], fam.rows])), (f0, fk, np.flatnonzero(mask))
 
 
-def _line_search(mus: np.ndarray, slope: float) -> float:
+def _line_search(mus: list[float], slope: float) -> float:
     """Minimizer of the convex h(a) = -slope*a - sum log(1 + a mu) where every
     1 + a mu >= 0.01, so no slack shrinks more than 100-fold in one step:
-    Newton's method on h', safeguarded by bisection, to a relative
-    precision of 1e-2."""
-    neg = mus[mus < 0.0]
-    lo, hi = 0.0, (-0.99 / neg.min() if neg.size else math.inf)
+    Newton's method on h' from min(1, hi/2), safeguarded by bisection, until
+    a step moves a by at most 1e-2 of it. `mus` is a list of floats: there
+    are at most a few dozen, where numpy's per-call cost exceeds the work."""
+    low = min(mus)
+    lo, hi = 0.0, (-0.99 / low if low < 0.0 else math.inf)
     a = min(1.0, 0.5 * hi)
     for _ in range(50):
-        r = mus / (1.0 + a * mus)
-        d1 = -slope - r.sum()
-        if d1 < 0.0:
-            lo = a
-        else:
-            hi = a
-        step = a - d1 / (r @ r)
+        d1 = d2 = 0.0
+        for mu in mus:
+            r = mu / (1.0 + a * mu)
+            d1 += r
+            d2 += r * r
+        d1 = -slope - d1
+        lo, hi = (a, hi) if d1 < 0.0 else (lo, a)
+        step = a - d1 / d2 if d2 else math.nan
         if not lo < step < hi:
             step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * a
         if abs(step - a) <= 1e-2 * a:
@@ -344,28 +342,32 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
     solved in square-root form: with s = a0 + A y, L = F(y)^(1/2) (from its
     eigendecomposition, so block-diagonal like F) and W_k = L^-1 fk[k] L^-1,
     the barrier Hessian is the Gram matrix J^T J of the columns
-    J_k = (A_k / s, W_k) and its gradient is -J^T e, e = (1, I). The SVD
-    U S V^T of the column-scaled J gives the step through Q = U and
-    R^-1 = V S^-1, without forming J^T J, which is singular on
-    rank-deficient states; an exact line search along it takes the step
-    length. The barrier weight t starts at the central-path point nearest y
-    and grows by STEP_UP whenever y is centered; the search stops once the
-    central path's duality gap nu/t is at most gap_tol.
+    J_k = (A_k / s, W_k) and its gradient is -J^T e, e = (1, I). J is
+    filled in place in one buffer per search. The SVD U S V^T of the
+    column-scaled J gives the step through Q = U and R^-1 = V S^-1, without
+    forming J^T J, which is singular on rank-deficient states; an exact line
+    search along it, on the step's relative slack changes as Python floats,
+    takes the step length. The barrier weight t starts at the central-path
+    point nearest y and grows by STEP_UP whenever y is centered; the search
+    stops once the central path's duality gap nu/t is at most gap_tol.
     """
     a0, a = lin
     f0, fk, entries = mat
     m, size = fk.shape[0], fk.shape[1]
     fk_flat = fk.reshape(m, -1)
-    eye = np.concatenate([np.ones(a.shape[0]), np.eye(size).ravel()[entries]])
-    if np.iscomplexobj(fk):
-        eye = np.concatenate([eye, np.zeros(entries.size)])
-    nu = a.shape[0] + size
+    n_lin, n_mat = a.shape[0], entries.size
+    cplx = np.iscomplexobj(fk)
+    jac = np.empty((n_lin + n_mat * (1 + cplx), m))  # rows A / s, Re W, then Im W
+    eye = np.zeros(jac.shape[0])
+    eye[:n_lin] = 1.0
+    eye[n_lin:n_lin + n_mat] = np.eye(size).ravel()[entries]
+    nu = n_lin + size
 
     def factor(y):
         """Row slacks s and L^-1 = F(y)^(-1/2) at y, which keeps W_k inside
         F's blocks, where `entries` reads it; LinAlgError outside."""
         s = a0 + a @ y
-        if not np.all(s > 0.0):
+        if not s.min(initial=math.inf) > 0.0:
             raise np.linalg.LinAlgError("a linear slack is not positive")
         if not size:
             return s, None
@@ -377,15 +379,16 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
     s, li = factor(y)
     t = None
     for _ in range(MAX_NEWTON):
-        jac = a / s[:, None]
+        np.divide(a, s[:, None], out=jac[:n_lin])
         if size:
-            w = (li @ fk @ li.conj().T).reshape(m, -1)
-            wk = w[:, entries]
-            if np.iscomplexobj(wk):
-                wk = np.concatenate([wk.real, wk.imag], axis=1)
-            jac = np.concatenate([jac, wk.T])
+            w = (li @ fk @ li).reshape(m, -1)  # li is Hermitian
+            wk = w[:, entries].T
+            jac[n_lin:n_lin + n_mat] = wk.real
+            if cplx:
+                jac[n_lin + n_mat:] = wk.imag
         scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", jac, jac))
-        q_mat, sv, vt = np.linalg.svd(jac * scale, full_matrices=False)
+        jac *= scale
+        q_mat, sv, vt = np.linalg.svd(jac, full_matrices=False)
         r_inv = vt.T / sv
         q = eye @ q_mat  # centering part of the scaled Newton step
         u = (scale * c) @ r_inv  # objective part, per unit t
@@ -398,13 +401,13 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
             t *= STEP_UP
             v = q + t * u
         dy = scale * (r_inv @ v)
-        mus = (a @ dy) / s
+        mus = ((a @ dy) / s).tolist()
         if size:
-            mus = np.concatenate([mus, np.linalg.eigvalsh((dy @ w).reshape(size, size))])
+            mus += np.linalg.eigvalsh((dy @ w).reshape(size, size)).tolist()
         step = _line_search(mus, t * float(c @ dy))
         for _ in range(BACKTRACKS):
             trial = y + step * dy
-            if not np.all(np.isfinite(trial)):
+            if not math.isfinite(trial.sum()):
                 raise NoConvergence("barrier iterate is not finite")
             try:  # rounding can put a point the line search kept inside outside
                 s, li = factor(trial)
@@ -433,9 +436,7 @@ def bsa_search(
     candidate S(y) / tr S(y). Raises NoConvergence when the solver fails.
     """
     if family.gens.shape[1] != rho.mat.shape[0]:
-        raise InputError(
-            f"family size {family.gens.shape[1]} != state size {rho.mat.shape[0]}"
-        )
+        raise InputError(f"family size {family.gens.shape[1]} != state size {rho.mat.shape[0]}")
     c = np.real(np.trace(family.gens, axis1=1, axis2=2))
     try:
         # shift rho by EPS past its smallest eigenvalue, then scale the start
@@ -478,9 +479,7 @@ class DualityReport:
 def bsa_as_sdp(rho: DensityMatrix, sigma: DensityMatrix) -> SdpProblem:
     """One-variable LMI whose optimum is minus the maximal separable weight."""
     if rho.mat.shape != sigma.mat.shape:
-        raise InputError(
-            f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}"
-        )
+        raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
     return SdpProblem(c=np.array([-1.0]), f0=rho.mat.copy(), fis=(-sigma.mat.copy(),))
 
 

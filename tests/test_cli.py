@@ -466,6 +466,16 @@ def test_hand_made_report_prints_as_the_stock_encoder_does():
     assert cli._dump(report) + "\n" == _stock(report)
 
 
+def test_hand_made_matrices_print_as_the_stock_encoder_does():
+    # a matrix of plain numbers is encoded in one call and split into rows
+    report = {
+        "one_by_one": [[0.5]], "ints_and_floats": [[1, 2.5, -3, 1e-300, 2 ** 70]],
+        "empty_row": [[1, 2.5], [], [3]], "only_empty": [[], []],
+        "not_all_numbers": [[1, True], [np.float64(0.5)], [None]], "cube": [[[1]], [[2.5, 0]]],
+    }
+    assert cli._dump(report) + "\n" == _stock(report)
+
+
 def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):
     report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
     report["input"]["note"] = float("nan")  # ignored by the parser, echoed by verify

@@ -302,6 +302,20 @@ def test_near_pure_raw_states_decompose(eps):
         check_decomposition(rho, dec)
 
 
+@pytest.mark.parametrize("eps", (1e-9, 1e-10))
+def test_near_pure_raw_states_pass_ppt_on_their_unnormalized_part(eps):
+    # lam is about eps, so the separable part, divided by lam, carries a PPT
+    # margin of rounding near -2e-8; lam times it meets PPT_TOL
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        psi /= np.linalg.norm(psi)
+        rho = st.make_raw((2, 2), (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4)
+        dec = lsd.lsd_wootters(rho)
+        assert dec.method == "wootters" and dec.lam < 1e-7
+        check_decomposition(rho, dec)
+
+
 # -- one-parameter families -------------------------------------------------
 
 def test_werner_weights_and_residual():
@@ -434,6 +448,19 @@ def test_verify_flags_inflated_weight():
     )
     report = lsd.verify(rho, tampered)
     assert report.residual_min_eig < 0
+
+
+@pytest.mark.parametrize("lam, excess, status", [
+    (1e-3, 5e-7, sep.SEPARABLE), (1e-3, 2e-6, sep.ENTANGLED),
+    (1.0, 5e-10, sep.SEPARABLE), (1.0, 2e-9, sep.ENTANGLED), (0.0, 2e-9, sep.ENTANGLED),
+])
+def test_verify_holds_the_weighted_separable_part_to_ppt_tol(lam, excess, status):
+    # a Bell-diagonal part with p_1 = 1/2 + excess has PPT margin -excess,
+    # and lam times that is held to PPT_TOL
+    rho = st.make_bd22([0.25] * 4)
+    part = st.make_bd22([0.5 + excess] + [(0.5 - excess) / 3.0] * 3)
+    dec = lsd.LSDecomposition(lam, part, rho.mat - lam * part.mat, "bd22", rho)
+    assert lsd.verify(rho, dec).separable_verdict.status == status
 
 
 def test_verify_dimension_mismatch():

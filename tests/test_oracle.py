@@ -1,5 +1,7 @@
 """Numeric oracle: fixed weights, bisection, family search, duality."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -264,6 +266,125 @@ def test_search_is_deterministic():
     a, _ = orc.bsa_search(rho, orc.bd22_family(), seed=5)
     b, _ = orc.bsa_search(rho, orc.bd22_family(), seed=5)
     assert a == b
+
+
+# -- the barrier search's Newton steps ----------------------------------------
+
+def _numpy_line_search(mus, slope):
+    """The line search as whole-array numpy steps: the same iteration."""
+    mus = np.asarray(mus)
+    neg = mus[mus < 0.0]
+    lo, hi = 0.0, (-0.99 / neg.min() if neg.size else math.inf)
+    a = min(1.0, 0.5 * hi)
+    for _ in range(50):
+        r = mus / (1.0 + a * mus)
+        d1 = -slope - r.sum()
+        if d1 < 0.0:
+            lo = a
+        else:
+            hi = a
+        step = a - d1 / (r @ r)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * a
+        if abs(step - a) <= 1e-2 * a:
+            return step
+        a = step
+    return a
+
+
+def _bisection_minimizer(mus, slope):
+    """Minimizer of h(a) = -slope*a - sum log(1 + a mu) over the a where
+    every 1 + a mu >= 0.01, by bisection on h' to a relative 1e-12."""
+    mus = np.asarray(mus)
+
+    def dh(a):
+        return -slope - float(np.sum(mus / (1.0 + a * mus)))
+
+    cap = -0.99 / mus.min() if mus.min() < 0.0 else math.inf
+    if cap < math.inf and dh(cap) <= 0.0:
+        return cap
+    lo, hi = 0.0, min(cap, 1.0)
+    while dh(hi) < 0.0:
+        lo, hi = hi, min(2.0 * hi, cap)
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dh(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _line_search_cases():
+    """Seeded (mus, slope) draws with h'(0) < 0 and a finite minimizer."""
+    rng = np.random.default_rng(41)
+    cases = []
+    while len(cases) < 300:
+        mus = rng.normal(size=int(rng.integers(3, 19))) * 10.0 ** rng.uniform(-3, 2)
+        if mus.min() < 0.0:
+            cases.append((mus, -mus.sum() + abs(rng.normal()) * 10.0 ** rng.uniform(-3, 2)))
+    for _ in range(50):
+        # no negative mu (hi = inf): a negative slope turns h' positive
+        mus = abs(rng.normal(size=6))
+        cases.append((mus, -mus.sum() * rng.uniform(0.05, 0.95)))
+        one = np.append(abs(rng.normal(size=5)), -abs(rng.normal()))  # one negative mu
+        cases.append((one, -one.sum() + abs(rng.normal())))
+        zero = np.append(one, 0.0)
+        cases.append((zero, -zero.sum() + abs(rng.normal())))
+        large = np.append(rng.normal(size=7), -abs(rng.normal()))  # a slope past the cap
+        cases.append((large, 1e6 * rng.uniform(1, 10)))
+    return cases
+
+
+def test_line_search_finds_the_minimizer_to_its_precision():
+    # it stops at a step of at most 1e-2 * a; within 90% of the slack cap
+    # that is a relative error of at most 1e-2, and beyond, where the
+    # Newton steps come back from the pole's side, of at most 3e-2 (2.2%
+    # seen); the numpy iteration differs by rounding in the cancelling h'
+    for mus, slope in _line_search_cases():
+        mus, slope = [float(mu) for mu in mus], float(slope)
+        a = orc._line_search(mus, slope)
+        best = _bisection_minimizer(mus, slope)
+        cap = -0.99 / min(mus) if min(mus) < 0.0 else math.inf
+        assert abs(a - best) <= (1e-2 if best <= 0.9 * cap else 3e-2) * best
+        assert min(1.0 + a * mu for mu in mus) >= 0.01
+        assert abs(a - _numpy_line_search(mus, slope)) <= 1e-9 * a
+
+
+def _raw_pure_and_mixed():
+    psi = np.array([math.cos(0.5), 0.3, 0.0, math.sin(0.5)])
+    pure = np.outer(psi, psi) / (psi @ psi)
+    return pure, 0.7 * pure + 0.3 * np.diag([0.1, 0.2, 0.3, 0.4])
+
+
+# weight and Newton steps of the search on one state per family: the
+# arithmetic of a Newton step may change, its iterates may not
+PINNED_SEARCHES = [
+    (st.BD22(p=(0.7, 0.1, 0.1, 0.1)), 0.6000000000021815, 14),
+    (st.BD22(p=(0.7, 0.3, 0.0, 0.0)), 0.6000000000024367, 28),
+    (st.ICD(theta=0.5, p=(0.7, 0.1, 0.1, 0.1)), 0.6376790211579698, 19),
+    (st.BD23(p=(0.6, 0.05, 0.1, 0.1, 0.1, 0.05)), 0.6232050807593064, 21),
+    (st.Werner(d=3, f=-0.5), 0.500000000011613, 15),
+    (st.Isotropic(d=3, F=0.6), 0.600000000011588, 15),
+    (st.Horodecki33(alpha=4.0), 0.5000000000097842, 13),
+    (st.MultiIso(d=2, n=3, s=0.5), 0.625000000009542, 15),
+    (st.Raw(dims=(2, 2), matrix=_raw_pure_and_mixed()[1]), 0.5603890013230072, 20),
+    (st.Raw(dims=(2, 2), matrix=_raw_pure_and_mixed()[0]), 1.9999999999999996e-12, 0),
+]
+
+
+@pytest.mark.parametrize("spec, weight, steps", PINNED_SEARCHES,
+                         ids=["bd22", "bd22_rank2", "icd", "bd23", "werner", "isotropic",
+                              "horodecki33", "multi_iso", "raw", "raw_pure"])
+def test_search_keeps_its_weight_and_newton_steps(monkeypatch, spec, weight, steps):
+    calls = []
+    line_search = orc._line_search
+
+    def counted(mus, slope):
+        calls.append(slope)
+        return line_search(mus, slope)
+
+    monkeypatch.setattr(orc, "_line_search", counted)
+    lam, _ = orc.bsa_search(st.build(spec), orc.family_for_spec(spec))
+    assert abs(lam - weight) <= 1e-13
+    assert len(calls) == steps
 
 
 def test_family_for_spec_dispatch():

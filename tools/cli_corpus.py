@@ -321,6 +321,16 @@ def run_corpus() -> None:
     one_flip = np.diag([0.3, 0.4, 0.0, 0.3])
     one_flip[0, 3] = one_flip[3, 0] = 0.3
     inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": one_flip.tolist()})))
+    # (1 - eps)|psi><psi| + eps I/4 with psi the second and fourth complex
+    # Gaussian draws of default_rng(29): lam is about eps, and dividing the
+    # separable part by it leaves a PPT margin of rounding far below -1e-9
+    draws = np.random.default_rng(29).normal(size=(4, 2, 4))
+    for k, eps in ((1, 1e-9), (1, 1e-10), (3, 1e-9)):
+        psi = draws[k, 0] + 1j * draws[k, 1]
+        psi /= np.linalg.norm(psi)
+        m = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4
+        inputs.append(("nearpure", json.dumps(
+            {"family": "raw", "dims": [2, 2], "re": m.real.tolist(), "im": m.imag.tolist()})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
