@@ -143,7 +143,7 @@ def _read_input(path: str) -> dict:
 def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, seed: int) -> dict:
     dec = lsd.decompose(spec)
     rho = dec.state
-    check = lsd.verify(rho, dec)
+    check = lsd.verify(dec)
     report = {
         "schema": SCHEMA,
         "command": "decompose",
@@ -264,7 +264,7 @@ def _read_report(report) -> lsd.LSDecomposition:
 
 def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
     dec = _read_report(report)
-    check = lsd.verify(dec.state, dec)
+    check = lsd.verify(dec)
     recon_tol = tol if tol is not None else 1e-10
     sep_ok = check.separable_verdict.status != separability.ENTANGLED
     checks = {
@@ -406,8 +406,6 @@ def _emit_text(obj, indent: str) -> None:
                 _emit_text(item, indent + "  ")
             else:
                 sys.stdout.write(f"{indent}- {_fmt_scalar(item)}\n")
-    else:
-        sys.stdout.write(f"{indent}{_fmt_scalar(obj)}\n")
 
 
 def _fmt_scalar(val) -> str:

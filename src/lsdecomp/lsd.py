@@ -239,10 +239,11 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
 
     lam = 1 - k_1 C with C the concurrence and k_1 = <x'_1|x'_1>; the
     separable part reweights the spin-flip basis onto its separability
-    boundary and the residual is C |x'_1><x'_1|. lam is read as the trace
-    of the unnormalized separable part, sum_i w_i |x'_i><x'_i| with
-    w_1 = l_2 + l_3 + l_4 and w_i = l_i otherwise, which keeps its digits
-    where 1 - k_1 C cancels.
+    boundary and the residual is C |x'_1><x'_1|. The unnormalized
+    separable part is sum_i w_i |x'_i><x'_i| with w_1 = l_2 + l_3 + l_4 and
+    w_i = l_i otherwise, plus |x_i><x_i| for each support vector x_i of no
+    flip weight, which is a product vector. lam is read as its trace, which
+    keeps its digits where 1 - k_1 C cancels.
     """
     wd = wootters.wootters_basis(rho)
     if wd.concurrence <= 1e-12:
@@ -251,6 +252,9 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
     weights[0] = wd.lambdas[1] + wd.lambdas[2] + wd.lambdas[3]
     xprime = wd.x_prime_vectors
     sep_mat = np.einsum("i,ij,ik->jk", weights, xprime, xprime.conj())
+    product = wd.product_vectors
+    if len(product):  # adding a zero matrix would turn a -0.0 entry into 0.0
+        sep_mat += product.T @ product.conj()
     lam = float(np.real(np.trace(sep_mat)))
     if lam <= 1e-14:
         # pure entangled state: all weight in the residual
@@ -343,42 +347,36 @@ def decompose(spec: StateSpec) -> LSDecomposition:
     return dispatch(_CLOSED_FORMS, spec)
 
 
-def verify(rho: DensityMatrix, dec: LSDecomposition) -> VerificationReport:
-    """Recompute the decomposition invariants of `dec` against `rho`.
+def verify(dec: LSDecomposition) -> VerificationReport:
+    """Recompute the decomposition invariants of `dec` against its state.
 
     The implied residual rho - lam * separable_part is compared with the
     stored entangled part; its minimum eigenvalue flags infeasible weights.
     Rank counts eigenvalues above 1e-8 times the residual trace. The PPT
-    test of the separable part is held to PPT_TOL on lam * separable_part.
+    test of the separable part, across the state's first-vs-rest cut, is
+    held to PPT_TOL on lam * separable_part.
     """
-    if dec.separable_part.mat.shape != rho.mat.shape:
-        raise InputError(
-            f"decomposition size {dec.separable_part.mat.shape} != state {rho.mat.shape}"
-        )
-    implied = rho.mat - dec.lam * dec.separable_part.mat
+    rho, sep = dec.state, dec.separable_part
+    if sep.mat.shape != rho.mat.shape:
+        raise InputError(f"decomposition size {sep.mat.shape} != state {rho.mat.shape}")
+    implied = rho.mat - dec.lam * sep.mat
     implied = 0.5 * (implied + implied.conj().T)
     residual_norm = float(np.linalg.norm(implied - dec.entangled_part))
-    min_eig = float(np.linalg.eigvalsh(implied)[0])
+    evals = np.linalg.eigvalsh(implied)
+    min_eig = float(evals[0])
     tr = float(np.real(np.trace(dec.entangled_part)))
     if tr > 1e-12:
-        evals = np.linalg.eigvalsh(dec.entangled_part)
+        if residual_norm != 0.0:  # else the stored part is the implied one
+            evals = np.linalg.eigvalsh(dec.entangled_part)
         rank = int(np.count_nonzero(evals > RANK_CUT * tr))
         purity = float(np.real(np.trace(dec.entangled_part @ dec.entangled_part)) / tr**2)
     else:
         rank = 0
         purity = None
-
-    sep = dec.separable_part
-    if len(sep.dims) == 2:
-        verdict = separability.ppt_check(sep, _ppt_tol(dec.lam))
-    else:
-        # multipartite: PPT across the first-vs-rest cut (necessary condition)
-        cut = (sep.dims[0], int(np.prod(sep.dims[1:])))
-        flat = DensityMatrix(sep.mat, cut)
-        verdict = separability.ppt_check(flat, _ppt_tol(dec.lam))
+    cut = (rho.dims[0], math.prod(rho.dims[1:]))  # not sep.dims, which a report sets
     return VerificationReport(
         residual_norm=residual_norm,
-        separable_verdict=verdict,
+        separable_verdict=separability._ppt(sep.mat, cut, _ppt_tol(dec.lam)),
         residual_min_eig=min_eig,
         residual_rank=rank,
         entangled_purity=purity,

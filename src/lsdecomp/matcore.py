@@ -77,8 +77,8 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def partial_transpose(rho, dims, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of a bipartite matrix on subsystem "A" or "B".
+def partial_transpose(rho, dims) -> np.ndarray:
+    """Partial transpose of a bipartite matrix on its second subsystem.
 
     `dims` is the pair (dA, dB); the matrix must be square of size dA*dB.
     The operation is an involution and preserves trace and Hermiticity.
@@ -90,14 +90,7 @@ def partial_transpose(rho, dims, subsystem: str = "B") -> np.ndarray:
         raise InputError(
             f"matrix shape {rho.shape} does not match dims {da}x{db}"
         )
-    r = rho.reshape(da, db, da, db)
-    if subsystem == "B":
-        r = r.transpose(0, 3, 2, 1)
-    elif subsystem == "A":
-        r = r.transpose(2, 1, 0, 3)
-    else:
-        raise InputError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    return r.reshape(n, n).copy()
+    return rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n).copy()
 
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:

@@ -17,7 +17,7 @@ Three layers:
   1998). A damped-Newton log-barrier method solves it deterministically
   from the all-ones point to a duality gap of tol/1000, but not below 1e-12.
 * `bsa_as_sdp` / `duality_check` phrase the fixed-candidate problem as a
-  one-variable linear matrix inequality and certify an optimum through a
+  one-constraint linear matrix inequality and certify an optimum through a
   kernel-supported dual matrix: zero duality gap and complementary slackness
   hold exactly at the true maximum weight.
 """
@@ -35,7 +35,6 @@ from .errors import (
     InputError,
     NoConvergence,
     NoDualCertificate,
-    NumericalError,
 )
 from .states import (
     BD22,
@@ -184,28 +183,29 @@ def bd23_family() -> SeparableFamily:
 
 
 def wootters_family(rho: DensityMatrix) -> SeparableFamily:
-    """Candidates sum_i w_i |x'_i><x'_i| over the spin-flip basis of rho.
+    """Candidates sum_i w_i |x'_i><x'_i| over the spin-flip basis of rho,
+    plus any mixture of its support vectors of no flip weight, which are
+    product vectors.
 
-    Separability within the family is the flip-spectrum condition: the
+    Separability within the flip basis is the flip-spectrum condition: the
     largest normalized weight must not exceed the sum of the others. With
-    two basis vectors that leaves the single candidate of equal weights.
-    With no flip weight rho is separable and is its own family. A pure rho
-    with one is entangled, and rho - L sigma >= 0 with L > 0 forces sigma =
-    rho, so its family is I/4, of weight 0. A mixed rho with one has its
-    optimal separable part outside the flip basis: NumericalError.
+    two basis vectors that leaves the single candidate of equal weights,
+    and with one none. A pure entangled rho has no candidate at all, and
+    rho - L sigma >= 0 with L > 0 forces sigma = rho, so its family is I/4,
+    of weight 0.
     """
     wd = wootters.wootters_basis(rho)
-    gens = _projectors(wd.x_prime_vectors[wd.lambdas > 1e-12])
-    m = gens.shape[0]
-    if m == 1 and np.vdot(rho.mat, rho.mat).real <= 1.0 - 1e-12:  # not pure
-        raise NumericalError("the state has one spin-flip weight; the flip-basis family "
-                             "holds no separable candidate for it and cannot check it")
-    if m < 2:
-        gen = rho.mat if m == 0 else np.eye(4) / 4.0
-        return _cone_family("wootters", (2, 2), gen[None], np.eye(1))
-    if m == 2:
-        return _cone_family("wootters", (2, 2), gens.sum(axis=0, keepdims=True), np.eye(1))
-    return _cone_family("wootters", (2, 2), gens, _half_rows(m))
+    flip = _projectors(wd.x_prime_vectors[wd.lambdas > wootters.SUPPORT_CUT])
+    m = flip.shape[0]
+    if m < 3:  # two flip vectors give one candidate, their equal mixture; one gives none
+        flip = flip.sum(axis=0, keepdims=True)[:m // 2]
+    gens = np.concatenate([flip, _projectors(wd.product_vectors)])
+    if not len(gens):
+        return _cone_family("wootters", (2, 2), np.eye(4)[None] / 4.0, np.eye(1))
+    rows = np.eye(len(gens))
+    if m > 2:  # and no flip weight exceeds half the flip total
+        rows = np.vstack([rows, np.pad(_half_rows(m)[m:], ((0, 0), (0, len(gens) - m)))])
+    return _cone_family("wootters", (2, 2), gens, rows)
 
 
 # A one-parameter state is affine in its parameter: its separable members are
@@ -461,11 +461,10 @@ def bsa_search(
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """minimize c.x subject to F(x) = f0 + sum_i x_i fis[i] >= 0."""
+    """maximize x subject to F(x) = f0 + x f1 >= 0."""
 
-    c: np.ndarray
     f0: np.ndarray
-    fis: tuple[np.ndarray, ...]
+    f1: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -477,29 +476,27 @@ class DualityReport:
 
 
 def bsa_as_sdp(rho: DensityMatrix, sigma: DensityMatrix) -> SdpProblem:
-    """One-variable LMI whose optimum is minus the maximal separable weight."""
+    """The LMI whose optimum is the maximal weight of sigma inside rho."""
     if rho.mat.shape != sigma.mat.shape:
         raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
-    return SdpProblem(c=np.array([-1.0]), f0=rho.mat.copy(), fis=(-sigma.mat.copy(),))
+    return SdpProblem(f0=rho.mat.copy(), f1=-sigma.mat.copy())
 
 
 KERNEL_CUT = 1e-8
 
 
 def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
-    """Certify a one-variable primal point through a kernel-supported dual matrix.
+    """Certify a primal point, the length-1 `x_hat`, through a
+    kernel-supported dual matrix.
 
-    Z is the projector onto the kernel of F(x_hat), scaled so that the dual
-    equality constraint Tr[F_1 Z] = c_1 holds. Raises InfeasiblePoint when
-    F(x_hat) is not PSD and NoDualCertificate when the kernel is empty or
-    admits no non-negative scaling (both mean x_hat is not optimal).
+    The primal value is -x, the objective in minimization form. Z is the projector
+    onto the kernel of F(x), scaled so that the dual equality constraint
+    Tr[f1 Z] = -1 holds. Raises InfeasiblePoint when F(x) is not PSD and
+    NoDualCertificate when the kernel is empty or admits no non-negative
+    scaling (both mean x is not optimal).
     """
-    if len(problem.fis) != 1:
-        raise InputError(f"duality_check takes one variable, got {len(problem.fis)}")
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    if x_hat.shape[0] != 1:
-        raise InputError(f"{x_hat.shape[0]} variables for 1 constraint matrices")
-    f_at = problem.f0 + x_hat[0] * problem.fis[0]
+    x = np.asarray(x_hat, dtype=float).item()
+    f_at = problem.f0 + x * problem.f1
     f_at = 0.5 * (f_at + f_at.conj().T)
     scale = max(1.0, matcore.frob(f_at))
     eig = matcore.hermitian_eig(f_at)
@@ -512,15 +509,14 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
         raise NoDualCertificate("F(x) is positive definite; no active constraint")
     z0 = kernel @ kernel.conj().T
 
-    t1 = float(np.real(np.trace(problem.fis[0] @ z0)))
-    c1 = float(problem.c[0])
-    if abs(t1) <= 1e-10 and abs(c1) > 1e-10:
+    t1 = float(np.real(np.trace(problem.f1 @ z0)))
+    if abs(t1) <= 1e-10:
         raise NoDualCertificate("kernel projector cannot satisfy the dual equality constraints")
-    if abs(t1) <= 1e-10 or c1 / t1 < 0.0:
+    if t1 > 0.0:
         raise NoDualCertificate("no nonnegative dual scaling exists")
-    z = (c1 / t1) * z0
+    z = (-1.0 / t1) * z0
 
-    primal = float(problem.c @ x_hat)
+    primal = -x
     dual = -float(np.real(np.trace(problem.f0 @ z)))
     slack = matcore.frob(f_at @ z)
     return DualityReport(

@@ -72,12 +72,15 @@ def ppt_check(rho: DensityMatrix, tol: float = PPT_TOL) -> SeparabilityVerdict:
     """
     if len(rho.dims) != 2:
         raise InputError(f"ppt_check needs exactly two subsystems, got dims {rho.dims}")
-    pt = matcore.partial_transpose(rho.mat, rho.dims, "B")
-    mu = float(np.linalg.eigvalsh(pt)[0])
-    decisive = rho.dims[0] * rho.dims[1] <= 6
+    return _ppt(rho.mat, rho.dims, tol)
+
+
+def _ppt(mat: np.ndarray, dims, tol: float) -> SeparabilityVerdict:
+    """ppt_check on a checked density matrix `mat` cut into the pair `dims`."""
+    mu = float(np.linalg.eigvalsh(matcore.partial_transpose(mat, dims))[0])
     if mu < -tol:
         status = ENTANGLED
-    elif decisive:
+    elif dims[0] * dims[1] <= 6:
         status = SEPARABLE
     else:
         status = PPT_INCONCLUSIVE

@@ -97,6 +97,12 @@ class WoottersData:
     P: np.ndarray
     concurrence: float
 
+    @property
+    def product_vectors(self) -> np.ndarray:
+        """The rows x_i of the support with no flip weight: <x_i|x~_i> = 0
+        makes each one a product vector."""
+        return self.x_vectors[(self.lambdas <= SUPPORT_CUT) & self.x_vectors.any(axis=1)]
+
 
 def wootters_basis(rho: DensityMatrix) -> WoottersData:
     """Construct the biorthogonal spin-flip basis of a 2-qubit state.

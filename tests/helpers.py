@@ -74,3 +74,15 @@ def icd_state(theta, p) -> DensityMatrix:
 
 def bd23_state(p) -> DensityMatrix:
     return make_bd23(p)
+
+
+def zero_flip_states() -> dict[str, tuple[np.ndarray, float]]:
+    """Two-qubit states with a support vector of no spin-flip weight, |01>,
+    and the weight 1 - C of their optimal split."""
+    phi_plus = np.outer([1.0, 0, 0, 1.0], [1.0, 0, 0, 1.0]) / 2
+    phi_minus = np.outer([1.0, 0, 0, -1.0], [1.0, 0, 0, -1.0]) / 2
+    ket01 = np.diag([0, 1.0, 0, 0])
+    return {
+        "rank3": (0.5 * phi_plus + 0.2 * phi_minus + 0.3 * ket01, 0.7),
+        "one_flip": (0.6 * phi_plus + 0.4 * ket01, 0.4),
+    }

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from lsdecomp import cli
+from lsdecomp.errors import NoDualCertificate
+
+from helpers import zero_flip_states
 
 
 def run_cli(capsys, *argv):
@@ -86,16 +89,27 @@ def test_oracle_on_pure_and_flip_free_raw_states(capsys, mat):
     assert report["oracle"]["delta"] <= 1e-9
 
 
-def test_oracle_names_the_one_flip_weight_limit(capsys):
-    phi = np.array([1.0, 0, 0, 1.0]) / 2 ** 0.5
-    mat = 0.6 * np.outer(phi, phi) + 0.4 * np.diag([0, 1.0, 0, 0])  # 0.6 Phi+ + 0.4 |01><01|
+@pytest.mark.parametrize("name", ["rank3", "one_flip"])
+def test_oracle_agrees_on_states_with_product_support_vectors(capsys, name):
+    mat, lam = zero_flip_states()[name]
     spec = json.dumps({"family": "raw", "dims": [2, 2], "re": mat.tolist()})
-    run_json(capsys, "decompose", "--input", spec)  # exits 0
     for argv in (("oracle",), ("decompose", "--oracle")):
-        code, out, err = run_cli(capsys, *argv, "--input", spec)
-        assert code == 3 and out == ""
-        assert err == ("error (NumericalError): the state has one spin-flip weight; the "
-                       "flip-basis family holds no separable candidate for it and cannot check it\n")
+        report = run_json(capsys, *argv, "--input", spec)
+        assert report.get("lambda_closed", report.get("lambda")) == pytest.approx(lam, abs=1e-12)
+        assert report["oracle"]["delta"] <= 1e-9
+
+
+def test_oracle_block_reports_a_missing_dual_certificate(capsys, monkeypatch):
+    def refuse(problem, x_hat):
+        raise NoDualCertificate("F(x) is positive definite; no active constraint")
+
+    monkeypatch.setattr(cli.oracle, "duality_check", refuse)
+    spec = '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'
+    for argv in (("oracle",), ("decompose", "--oracle")):
+        block = run_json(capsys, *argv, "--input", spec)["oracle"]
+        assert block["gap"] is None and block["slackness"] is None
+        assert block["duality_note"] == "F(x) is positive definite; no active constraint"
+        assert abs(block["lambda_numeric"] - 0.6) <= 1e-9
 
 
 def test_decompose_verify_round_trip(capsys, tmp_path):
@@ -122,6 +136,19 @@ def test_verify_rejects_tampered_weight(capsys, tmp_path):
     assert code == 3
     verdict = json.loads(out)
     assert verdict["all_ok"] is False
+
+
+def test_verify_cuts_the_separable_part_as_the_state_is_cut(capsys):
+    # an entangled state passed off as the separable part of weight 1, its
+    # block labelled as one 4-level system, whose PPT cut (4, 1) is trivial
+    report = run_json(capsys, "decompose", "--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}')
+    state = np.array(report["separable"]["re"]) * 0.6 + np.array(report["entangled"]["re"])
+    report.update({"lambda": 1.0, "separable": {"dims": [4], "re": state.tolist(),
+                                                "im": np.zeros((4, 4)).tolist()}})
+    del report["entangled"]
+    code, out, _ = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert code == 3
+    assert json.loads(out)["checks"]["separable_status"] == "entangled"
 
 
 def _broken(report, edit):
@@ -254,6 +281,27 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "status: separable" in out
+
+
+def test_text_format_prints_lists_and_matrix_blocks(capsys):
+    spec = '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'
+    # a list of numbers: one "- value" line each, one level deeper
+    report = run_json(capsys, "concurrence", "--input", spec)
+    _, out, _ = run_cli(capsys, "concurrence", "--input", spec, "--format", "text")
+    for key in ("P", "k", "lambdas"):
+        assert f"{key}:\n" + "".join(f"  - {v!r}\n" for v in report[key]) in out
+    # a list of dicts: each dict's keys two levels deeper
+    report = run_json(capsys, "selftest")
+    _, out, _ = run_cli(capsys, "selftest", "--format", "text")
+    items = "".join(f"    name: {r['name']}\n    ok: True\n" for r in report["results"])
+    assert out == f"all_ok: True\ncommand: selftest\nresults:\n{items}schema: lsd-selftest/1\n"
+    # a matrix block: dims, im and re each on one line, as JSON
+    report = run_json(capsys, "decompose", "--input", spec)
+    _, out, _ = run_cli(capsys, "decompose", "--input", spec, "--format", "text")
+    for name in ("entangled", "separable"):
+        block = report[name]
+        assert (f"{name}:\n  dims: [2, 2]\n  im: {json.dumps(block['im'])}\n"
+                f"  re: {json.dumps(block['re'])}\n") in out
 
 
 def test_near_threshold_round_trip(capsys):

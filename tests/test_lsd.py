@@ -17,11 +17,13 @@ from helpers import (
     sample_entangled_bd22,
     sample_entangled_bd23,
     sample_entangled_icd,
+    zero_flip_states,
 )
 
 
 def check_decomposition(rho: st.DensityMatrix, dec: lsd.LSDecomposition):
-    report = lsd.verify(rho, dec)
+    np.testing.assert_array_equal(dec.state.mat, rho.mat)
+    report = lsd.verify(dec)
     assert report.residual_norm <= 1e-10
     assert report.residual_min_eig >= -1e-9
     assert report.separable_verdict.status != sep.ENTANGLED
@@ -199,6 +201,19 @@ def test_wootters_random_entangled():
             data.x_prime_vectors[0], data.x_prime_vectors[0].conj()
         )
         assert np.linalg.norm(dec.entangled_part - expected) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["rank3", "one_flip"])
+def test_wootters_puts_product_support_vectors_in_the_separable_part(name):
+    # |01> has no flip weight; left in the residual it cost the rank-3 state
+    # 0.3 of weight (0.4 for 0.7) and the one-flip state all of it (0 for 0.4)
+    mat, lam = zero_flip_states()[name]
+    rho = st.make_raw((2, 2), mat)
+    dec = lsd.lsd_wootters(rho)
+    assert dec.method == "wootters"
+    assert abs(dec.lam - (1.0 - wo.concurrence(rho))) <= 1e-12
+    assert dec.lam == pytest.approx(lam, abs=1e-12)
+    assert check_decomposition(rho, dec).residual_rank == 1
 
 
 def test_wootters_dims_check():
@@ -446,7 +461,7 @@ def test_verify_flags_inflated_weight():
     tampered = replace(
         dec, lam=lam_bad, entangled_part=rho.mat - lam_bad * dec.separable_part.mat
     )
-    report = lsd.verify(rho, tampered)
+    report = lsd.verify(tampered)
     assert report.residual_min_eig < 0
 
 
@@ -460,10 +475,23 @@ def test_verify_holds_the_weighted_separable_part_to_ppt_tol(lam, excess, status
     rho = st.make_bd22([0.25] * 4)
     part = st.make_bd22([0.5 + excess] + [(0.5 - excess) / 3.0] * 3)
     dec = lsd.LSDecomposition(lam, part, rho.mat - lam * part.mat, "bd22", rho)
-    assert lsd.verify(rho, dec).separable_verdict.status == status
+    assert lsd.verify(dec).separable_verdict.status == status
 
 
 def test_verify_dimension_mismatch():
     dec = lsd.lsd_bd22([0.7, 0.1, 0.1, 0.1])
     with pytest.raises(InputError, match=r"decomposition size \(4, 4\) != state \(6, 6\)"):
-        lsd.verify(st.make_bd23([1 / 6.0] * 6), dec)
+        lsd.verify(replace(dec, state=st.make_bd23([1 / 6.0] * 6)))
+
+
+def test_verify_ranks_the_stored_residual_and_tests_the_implied_one():
+    # the implied residual 0.4 |Phi+><Phi+| is rank 1; a stored residual of
+    # the same trace spread over two Bell states is rank 2, purity 1/2
+    dec = lsd.lsd_bd22([0.7, 0.1, 0.1, 0.1])
+    stored = st.make_bd22([0.5, 0.5, 0.0, 0.0]).mat * 0.4
+    exact = lsd.verify(dec)
+    assert (exact.residual_norm, exact.residual_rank) == (0.0, 1)
+    report = lsd.verify(replace(dec, entangled_part=stored))
+    assert report.residual_norm > 0.1
+    assert report.residual_rank == 2 and report.entangled_purity == pytest.approx(0.5)
+    assert report.residual_min_eig == exact.residual_min_eig

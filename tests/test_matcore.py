@@ -83,7 +83,7 @@ def test_partial_transpose_product_state_stays_psd():
     ra /= np.trace(ra)
     rb /= np.trace(rb)
     rho = mc.kron(ra, rb)
-    pt = mc.partial_transpose(rho, (2, 3), "B")
+    pt = mc.partial_transpose(rho, (2, 3))
     assert np.allclose(pt, mc.kron(ra, rb.T))
     assert np.linalg.eigvalsh(pt)[0] >= -1e-12
 
@@ -93,7 +93,7 @@ def test_partial_transpose_singlet_min_eig():
     psi = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
     rho = np.outer(psi, psi)
     expected = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    pt = mc.partial_transpose(rho, (2, 2), "B")
+    pt = mc.partial_transpose(rho, (2, 2))
     assert np.allclose(pt, expected)
     assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.5, abs=1e-12)
 
@@ -101,25 +101,15 @@ def test_partial_transpose_singlet_min_eig():
 def test_partial_transpose_involution_and_trace():
     rng = np.random.default_rng(8)
     a = random_hermitian(rng, 6)
-    for sub in ("A", "B"):
-        pt = mc.partial_transpose(a, (2, 3), sub)
-        assert np.allclose(mc.partial_transpose(pt, (2, 3), sub), a)
-        assert np.trace(pt) == pytest.approx(np.trace(a).real)
-        assert np.linalg.norm(pt - pt.conj().T) < 1e-14
-
-
-def test_partial_transpose_subsystem_a_vs_b():
-    rng = np.random.default_rng(9)
-    a = random_hermitian(rng, 6)
-    both = mc.partial_transpose(mc.partial_transpose(a, (2, 3), "A"), (2, 3), "B")
-    assert np.allclose(both, a.T)
+    pt = mc.partial_transpose(a, (2, 3))
+    assert np.allclose(mc.partial_transpose(pt, (2, 3)), a)
+    assert np.trace(pt) == pytest.approx(np.trace(a).real)
+    assert np.linalg.norm(pt - pt.conj().T) < 1e-14
 
 
 def test_partial_transpose_dimension_check():
     with pytest.raises(InputError, match=r"matrix shape \(4, 4\) does not match dims 2x3"):
         mc.partial_transpose(np.eye(4), (2, 3))
-    with pytest.raises(InputError, match="subsystem must be 'A' or 'B', got 'C'"):
-        mc.partial_transpose(np.eye(4), (2, 2), "C")
 
 
 def test_is_psd_cases():
@@ -132,7 +122,7 @@ def test_is_psd_werner_partial_transpose():
     from lsdecomp.states import make_werner
 
     w = make_werner(2, -0.5)
-    pt = mc.partial_transpose(w.mat, (2, 2), "B")
+    pt = mc.partial_transpose(w.mat, (2, 2))
     assert not mc.is_psd(pt)
     assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
 

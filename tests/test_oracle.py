@@ -387,6 +387,15 @@ def test_search_keeps_its_weight_and_newton_steps(monkeypatch, spec, weight, ste
     assert len(calls) == steps
 
 
+def test_raw_family_with_two_flip_weights_is_their_equal_mixture():
+    rho = st.make_raw((2, 2), st.make_bd22([0.7, 0.3, 0.0, 0.0]).mat)
+    fam = orc.wootters_family(rho)
+    assert fam.gens.shape[0] == 1
+    lam, sigma = orc.bsa_search(rho, fam)
+    assert lam == pytest.approx(0.6, abs=1e-9)
+    assert np.allclose(sigma.mat, st.make_bd22([0.5, 0.5, 0.0, 0.0]).mat, atol=1e-9)
+
+
 def test_family_for_spec_dispatch():
     assert orc.family_for_spec(st.Werner(d=2, f=-0.5)).name == "werner"
     assert orc.family_for_spec(st.BD22(p=(0.7, 0.1, 0.1, 0.1))).name == "bd22"
@@ -400,16 +409,15 @@ def test_bsa_as_sdp_structure():
     rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
     sigma = st.make_bd22([0.5, 1 / 6, 1 / 6, 1 / 6])
     prob = orc.bsa_as_sdp(rho, sigma)
-    assert np.allclose(prob.c, [-1.0])
     assert np.allclose(prob.f0, rho.mat)
-    assert np.allclose(prob.fis[0], -sigma.mat)
+    assert np.allclose(prob.f1, -sigma.mat)
     # L = 0 is always feasible, and the constraint is active at the optimum
     assert mc.is_psd(prob.f0)
     lam = orc.lambda_max_fixed(rho, sigma)
-    f_at = prob.f0 + lam * prob.fis[0]
+    f_at = prob.f0 + lam * prob.f1
     assert abs(np.linalg.eigvalsh(f_at)[0]) <= 1e-8
-    # optimal objective value is -lambda_max
-    assert prob.c @ np.array([lam]) == pytest.approx(-0.6, abs=1e-12)
+    # the reported primal value is -lambda_max
+    assert orc.duality_check(prob, np.array([lam])).primal_value == pytest.approx(-0.6, abs=1e-12)
 
 
 def test_duality_certificate_at_optimum():
@@ -449,13 +457,6 @@ def test_duality_weak_duality_on_random_optima():
         assert rep.gap >= -1e-9
         assert rep.gap <= 1e-6
         assert rep.slackness_residual <= 1e-6
-
-
-def test_duality_check_takes_one_variable():
-    rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
-    prob = orc.SdpProblem(c=np.array([-1.0, 0.0]), f0=rho.mat, fis=(-rho.mat, -rho.mat))
-    with pytest.raises(InputError, match="duality_check takes one variable, got 2"):
-        orc.duality_check(prob, np.array([0.5, 0.0]))
 
 
 def test_duality_rank_deficient_candidate():

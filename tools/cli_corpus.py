@@ -331,6 +331,11 @@ def run_corpus() -> None:
         m = (1.0 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(4) / 4
         inputs.append(("nearpure", json.dumps(
             {"family": "raw", "dims": [2, 2], "re": m.real.tolist(), "im": m.imag.tolist()})))
+    # 0.5|Phi+><Phi+| + 0.2|Phi-><Phi-| + 0.3|01><01|: rank 3, with a support
+    # vector of no spin-flip weight; its optimal split reaches 1 - C = 0.7
+    rank3 = np.diag([0.35, 0.3, 0.0, 0.35])
+    rank3[0, 3] = rank3[3, 0] = 0.15
+    inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": rank3.tolist()})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
