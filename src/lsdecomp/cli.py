@@ -230,7 +230,11 @@ def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
 
 
 def _block_matrix(block) -> np.ndarray:
-    return _real_array("re", block["re"]) + 1j * _real_array("im", block["im"])
+    """A report's matrix block; real when its `im` is all zeros. Adding
+    that zero `im` keeps the shape checks and the signs of zero of
+    re + 1j * im."""
+    re, im = _real_array("re", block["re"]), _real_array("im", block["im"])
+    return re + 1j * im if im.any() else re + im
 
 
 def _read_report(report) -> lsd.LSDecomposition:
@@ -358,22 +362,27 @@ def _selftest() -> tuple[dict, bool]:
 
 # encodes in C, since its indent is None
 _SCALAR = json.JSONEncoder(allow_nan=False)
+_NUMBER_BYTES = b"0123456789+-.eE, "  # what the encoder writes for numbers and between them
 
 
 def _dump(obj, pad: str = "\n") -> str:
     """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`, with
-    the containers indented here; a matrix of plain numbers, such as a
-    report's `re` block, is encoded in one call and split at its separators
-    (no number's repr contains ", " or "], [")."""
+    the containers indented here. A list of lists is encoded in one call.
+    If that text is a matrix of numbers, such as a report's `re` block,
+    it is split into rows at its separators (no number's repr contains ", "
+    or "], ["): it is one when all it holds besides numbers and separators
+    are the brackets of a list of len(obj) flat lists."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)) and obj:
-        if all(isinstance(row, (list, tuple)) and set(map(type, row)) <= {int, float} for row in obj):
+        text = _SCALAR.encode(obj) if isinstance(obj[0], (list, tuple)) else ""
+        # the encoder escapes non-ASCII text, so each character is one byte
+        if text.encode().translate(None, _NUMBER_BYTES) == b"[" + b"[]" * len(obj) + b"]":
             deeper = inner + "  "
             rows = ("[" + deeper + row.replace(", ", "," + deeper) + inner + "]" if row else "[]"
-                    for row in _SCALAR.encode(obj)[2:-2].split("], ["))
+                    for row in text[2:-2].split("], ["))
         else:
             rows = (_dump(item, inner) for item in obj)
         return "[" + inner + ("," + inner).join(rows) + pad + "]"
@@ -391,19 +400,23 @@ def _emit(report: dict, fmt: str) -> None:
     _emit_text(report, indent="")
 
 
-def _emit_text(obj, indent: str) -> None:
+def _emit_text(obj, indent: str, first: str = "") -> None:
+    """Write `obj` as `key: value` lines at `indent`; `first`, if given,
+    replaces the indent of the first line, as a list item's "- " marker."""
     if isinstance(obj, dict):
+        lead = first or indent
         for key in sorted(obj):
             val = obj[key]
             if isinstance(val, (dict, list)) and key not in ("re", "im", "dims"):
-                sys.stdout.write(f"{indent}{key}:\n")
+                sys.stdout.write(f"{lead}{key}:\n")
                 _emit_text(val, indent + "  ")
             else:
-                sys.stdout.write(f"{indent}{key}: {_fmt_scalar(val)}\n")
+                sys.stdout.write(f"{lead}{key}: {_fmt_scalar(val)}\n")
+            lead = indent
     elif isinstance(obj, list):
         for item in obj:
             if isinstance(item, dict):
-                _emit_text(item, indent + "  ")
+                _emit_text(item, indent + "  ", first=indent + "- ")
             else:
                 sys.stdout.write(f"{indent}- {_fmt_scalar(item)}\n")
 

@@ -10,6 +10,10 @@ Basis conventions, fixed once for the whole package:
 Every constructor returns a validated :class:`DensityMatrix`; constructors
 build states from projectors of explicit unit vectors so positivity holds by
 construction.
+
+The seven named families are real symmetric in the product basis, so their
+matrices are float64; a raw matrix keeps its own type, complex128 when it
+has complex entries.
 """
 
 from __future__ import annotations
@@ -145,8 +149,7 @@ def bell_basis_22() -> np.ndarray:
             [s, 0, 0, -s],
             [0, s, s, 0],
             [0, s, -s, 0],
-        ],
-        dtype=np.complex128,
+        ]
     )
 
 
@@ -159,8 +162,7 @@ def iso_basis(theta: float) -> np.ndarray:
             [s, 0, 0, -c],
             [0, c, s, 0],
             [0, s, -c, 0],
-        ],
-        dtype=np.complex128,
+        ]
     )
 
 
@@ -171,7 +173,7 @@ def bell_basis_23() -> np.ndarray:
     +/- relative phase inside each pair.
     """
     s = 1.0 / math.sqrt(2.0)
-    vecs = np.zeros((6, 6), dtype=np.complex128)
+    vecs = np.zeros((6, 6))
     pairs = [(0, 4), (1, 5), (2, 3)]  # (a-1)*3+(b-1) of |11>/|22>, |12>/|23>, |13>/|21>
     for k, (i, j) in enumerate(pairs):
         vecs[2 * k, i] = s
@@ -183,7 +185,7 @@ def bell_basis_23() -> np.ndarray:
 
 def max_entangled(d: int, n: int = 2) -> np.ndarray:
     """|psi+> = d^{-1/2} sum_i |ii...i> on n parties of dimension d."""
-    v = np.zeros(d**n, dtype=np.complex128)
+    v = np.zeros(d**n)
     step = (d**n - 1) // (d - 1)
     v[::step] = 1.0 / math.sqrt(d)
     return v
@@ -245,7 +247,7 @@ def make_werner(d: int, f: float) -> DensityMatrix:
     """Werner state ((d-f)I + (df-1)F) / (d^3-d), f in [-1, 1]."""
     d, f = werner_params(d, f)
     f = min(1.0, max(-1.0, f))
-    eye = np.eye(d * d, dtype=np.complex128)
+    eye = np.eye(d * d)
     flip = matcore.swap_operator(d)
     mat = ((d - f) * eye + (d * f - 1.0) * flip) / (d**3 - d)
     return DensityMatrix(mat=mat, dims=(d, d))
@@ -271,7 +273,7 @@ def make_isotropic(d: int, fidelity: float) -> DensityMatrix:
     fidelity = min(1.0, max(0.0, fidelity))
     psi = max_entangled(d)
     proj = np.outer(psi, psi.conj())
-    eye = np.eye(d * d, dtype=np.complex128)
+    eye = np.eye(d * d)
     mat = (1.0 - fidelity) / (d * d - 1.0) * (eye - proj) + fidelity * proj
     return DensityMatrix(mat=mat, dims=(d, d))
 
@@ -281,7 +283,7 @@ def _horodecki_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     proj = np.outer(psi, psi.conj())
 
     def diag_mix(kets):
-        m = np.zeros((9, 9), dtype=np.complex128)
+        m = np.zeros((9, 9))
         for a, b in kets:
             i = (a - 1) * 3 + (b - 1)
             m[i, i] = 1.0 / 3.0
@@ -332,7 +334,7 @@ def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
     s = min(1.0, max(0.0, s))
     size = d**n
     psi = max_entangled(d, n)
-    mat = (1.0 - s) / size * np.eye(size, dtype=np.complex128) + s * np.outer(psi, psi.conj())
+    mat = (1.0 - s) / size * np.eye(size) + s * np.outer(psi, psi.conj())
     return DensityMatrix(mat=mat, dims=(d,) * n)
 
 

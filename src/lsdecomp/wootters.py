@@ -41,8 +41,12 @@ def spin_flip(rho: DensityMatrix) -> np.ndarray:
 
 
 def _support_vectors(rho: DensityMatrix) -> np.ndarray:
-    """Columns sqrt(mu_i) |e_i> over the support of rho."""
-    eig = matcore.hermitian_eig(rho.mat)
+    """Columns sqrt(mu_i) |e_i> over the support of rho.
+
+    A real rho is cast to complex128 first. The Takagi step needs complex
+    values anyway, and the real eigensolver would round otherwise, so the
+    cast gives a real rho the spin-flip basis of its complex copy."""
+    eig = matcore.hermitian_eig(rho.mat.astype(np.complex128, copy=False))
     keep = eig.values > SUPPORT_CUT
     return eig.vectors[:, keep] * np.sqrt(eig.values[keep])
 

@@ -290,10 +290,10 @@ def test_text_format_prints_lists_and_matrix_blocks(capsys):
     _, out, _ = run_cli(capsys, "concurrence", "--input", spec, "--format", "text")
     for key in ("P", "k", "lambdas"):
         assert f"{key}:\n" + "".join(f"  - {v!r}\n" for v in report[key]) in out
-    # a list of dicts: each dict's keys two levels deeper
+    # a list of dicts: "- " before each dict, whose keys line up two levels deeper
     report = run_json(capsys, "selftest")
     _, out, _ = run_cli(capsys, "selftest", "--format", "text")
-    items = "".join(f"    name: {r['name']}\n    ok: True\n" for r in report["results"])
+    items = "".join(f"  - name: {r['name']}\n    ok: True\n" for r in report["results"])
     assert out == f"all_ok: True\ncommand: selftest\nresults:\n{items}schema: lsd-selftest/1\n"
     # a matrix block: dims, im and re each on one line, as JSON
     report = run_json(capsys, "decompose", "--input", spec)
@@ -522,6 +522,17 @@ def test_hand_made_matrices_print_as_the_stock_encoder_does():
         "not_all_numbers": [[1, True], [np.float64(0.5)], [None]], "cube": [[[1]], [[2.5, 0]]],
     }
     assert cli._dump(report) + "\n" == _stock(report)
+
+
+@pytest.mark.parametrize("obj", [
+    [[1, True]], [[None, 0.5]], [["1", 2]], [["a, b"], [1]], [["], ["]],
+    [[1], [[2]], 3], [[1, [2]], [3]], [[0.5], 2], [[1], {"k": [2]}],
+], ids=["bool", "none", "string", "string_with_separator", "string_of_brackets",
+        "nested_then_number", "nested_in_row", "number_after_row", "dict_after_row"])
+def test_list_of_lists_that_is_no_matrix_prints_as_the_stock_encoder_does(obj):
+    # each one takes the generic path: the encoded text is not numbers between
+    # the brackets of a matrix
+    assert cli._dump(obj) + "\n" == _stock(obj)
 
 
 def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):

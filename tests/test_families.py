@@ -2,6 +2,7 @@
 
 import json
 import typing
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -84,3 +85,56 @@ def test_missing_field_exits_2(spec, capsys):
         err = capsys.readouterr().err
         assert f"error (InputError): malformed fields for family {obj['family']!r}: " in err
 
+
+# the seven named families at their largest sizes: every matrix is real
+REAL_SAMPLES = [
+    *SAMPLES[:3],
+    st.Werner(d=8, f=-0.5),
+    st.Isotropic(d=8, F=0.5),
+    SAMPLES[5],
+    st.MultiIso(d=2, n=6, s=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", REAL_SAMPLES, ids=lambda s: type(s).__name__)
+def test_named_families_stay_real(spec):
+    dec = lsd.decompose(spec)
+    for mat in (st.build(spec).mat, dec.state.mat, dec.separable_part.mat, dec.entangled_part):
+        assert mat.dtype == np.float64
+    _, sigma = oracle.bsa_search(dec.state, oracle.family_for_spec(spec))
+    assert sigma.mat.dtype == np.float64
+
+
+def test_raw_state_with_an_imaginary_part_stays_complex():
+    mat = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    rho = st.build(st.Raw(dims=(2,), matrix=mat))
+    assert rho.mat.dtype == np.complex128
+    assert np.array_equal(rho.mat, mat)
+
+
+def _complex(rho: st.DensityMatrix) -> st.DensityMatrix:
+    return st.DensityMatrix(rho.mat.astype(np.complex128), rho.dims)
+
+
+@pytest.mark.parametrize("spec", REAL_SAMPLES, ids=lambda s: type(s).__name__)
+def test_verify_of_a_real_split_matches_its_complex_copy(spec):
+    dec = lsd.decompose(spec)
+    copy = replace(dec, separable_part=_complex(dec.separable_part),
+                   entangled_part=dec.entangled_part.astype(np.complex128),
+                   state=_complex(dec.state))
+    real, cplx = lsd.verify(dec), lsd.verify(copy)
+    assert copy.separable_part.mat.dtype == np.complex128
+    assert real.separable_verdict.status == cplx.separable_verdict.status
+    assert abs(real.separable_verdict.margin - cplx.separable_verdict.margin) <= 1e-15
+    for field in fields(real):
+        a, b = getattr(real, field.name), getattr(cplx, field.name)
+        if isinstance(a, float):
+            assert abs(a - b) <= 1e-15, field.name
+        elif field.name != "separable_verdict":
+            assert a == b, field.name
+    # the report that verify reads back gives the same weight and the same checks
+    report = cli._decompose_report(spec, False, None, 0)
+    checks = cli._verify_report(json.loads(json.dumps(report)), None)[0]["checks"]
+    assert checks["lambda"] == dec.lam == report["lambda"]
+    assert checks["residual_rank"] == real.residual_rank
+    assert checks["residual_min_eig"] == real.residual_min_eig

@@ -44,6 +44,34 @@ def test_hermitian_eig_rejects_non_hermitian():
         mc.hermitian_eig(np.ones((2, 3)))
 
 
+def test_as_matrix_keeps_real_input_real():
+    for a in ([[True, False], [False, True]], np.eye(2, dtype=np.int64), np.eye(2, dtype=np.uint8),
+              np.eye(2, dtype=np.float32), np.array([[1, 0.5]], dtype=object)):
+        out = mc.as_matrix(a)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, np.asarray(a, dtype=float))
+    assert mc.as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+    assert mc.as_matrix(np.array([[1, 0.5j]], dtype=object)).dtype == np.complex128
+    real = np.eye(2)
+    assert mc.as_matrix(real) is real
+
+
+@pytest.mark.parametrize("a, message", [
+    ([["a", "b"]], "matrix entries are not numbers"),
+    ([["1", "0"]], "matrix entries are not numbers"),
+    (np.array([[1.0, None]], dtype=object), "matrix entries are not numbers"),
+    (np.array([[1.0, "x"]], dtype=object), "matrix entries are not numbers"),
+    ([[1.0, np.nan]], "matrix contains non-finite entries"),
+    ([[1.0, np.inf * 1j]], "matrix contains non-finite entries"),
+    (np.array([[1.0, np.inf]], dtype=object), "matrix contains non-finite entries"),
+    ([1.0, 2.0], "expected a 2-d matrix, got ndim=1"),
+], ids=["text", "numeric_text", "object_none", "object_text", "nan", "complex_inf", "object_inf",
+        "ndim"])
+def test_as_matrix_rejects_with_input_error(a, message):
+    with pytest.raises(InputError, match=message):
+        mc.as_matrix(a)
+
+
 def test_kron_identity():
     assert np.allclose(mc.kron(np.eye(2), np.eye(2)), np.eye(4))
 

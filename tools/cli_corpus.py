@@ -11,10 +11,15 @@ directory next to this script, so the output belongs to that checkout.
 Each run prints one tab-separated line:
 
     <run id>  <exit code>  <sha256 of stdout>  <sha256 of stdout with the
-    oracle's lambda_numeric and delta masked>  <those values, or ->  <stderr>
+    oracle's lambda_numeric and delta masked>  <sha256 of stdout with every
+    number rounded to 1e-12>  <stderr>  <every number of stdout by field,
+    compressed>
 
-A crash (an exception escaping `cli.main`) is recorded as exit code 1. The
-output of two checkouts can be diffed line by line, or summarized:
+Rounding is absolute, and -0.0 counts as 0.0. A number's field is the
+last key before it, so the entries of a report's `re` blocks share the
+field `re`. A crash (an exception escaping `cli.main`) is recorded as exit
+code 1. The output of two checkouts can be diffed line by line, or
+summarized:
 
     python tools/cli_corpus.py > old.txt            # at the first checkout
     python tools/cli_corpus.py > new.txt            # at the second
@@ -24,6 +29,7 @@ output of two checkouts can be diffed line by line, or summarized:
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import copy
 import hashlib
@@ -32,6 +38,7 @@ import json
 import math
 import re
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -48,8 +55,11 @@ COMMANDS = (
     ("concurrence",),
     ("oracle",),
 )
-ORACLE_NUMBERS = re.compile(r'("?(lambda_numeric|delta)"?:\s*)([-+0-9.eEinfatyN]+|null)')
+ORACLE_NUMBERS = re.compile(r'("?(?:lambda_numeric|delta)"?:\s*)(?:null|[-+0-9.eEinfatyN]+)')
 LABEL = re.compile(r"^error \([A-Za-z]+\): ")
+# a key, in JSON ("key": ) or text (key: ) output, or a number outside a word
+TOKEN = re.compile(r'"?([A-Za-z_]\w*)"?:|(?<![\w/.])(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+ROUND = 12  # decimal places kept by the rounded digest
 MULTI_ISO_SIZES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (2, 6), (3, 3), (4, 3), (8, 2))
 SEED = 0  # of the random draws
 PER_FAMILY = 40  # random draws of each family
@@ -291,13 +301,34 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _rounded(match: re.Match) -> str:
+    if match.group(2) is None:
+        return match.group(0)
+    return repr(round(float(match.group(2)), ROUND) + 0.0)  # + 0.0 turns -0.0 into 0.0
+
+
+def _by_field(out: str) -> dict[str, list[float]]:
+    """Every number in `out`, in order, under the last key before it."""
+    fields: dict[str, list[float]] = {}
+    key = "-"
+    for match in TOKEN.finditer(out):
+        if match.group(1) is not None:
+            key = match.group(1)
+        else:
+            fields.setdefault(key, []).append(float(match.group(2)))
+    return fields
+
+
 def line(run_id: str, code: int, out: str, err: str) -> str:
-    numbers = ",".join(f"{m.group(2)}={m.group(3)}" for m in ORACLE_NUMBERS.finditer(out)) or "-"
     masked = ORACLE_NUMBERS.sub(lambda m: m.group(1) + "*", out)
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    masked_digest = hashlib.sha256(masked.encode()).hexdigest()
+    rounded = TOKEN.sub(_rounded, out)
     stderr = err.replace("\\", "\\\\").replace("\n", "\\n").replace("\t", "\\t")
-    return f"{run_id}\t{code}\t{digest}\t{masked_digest}\t{numbers}\t{stderr}"
+    packed = base64.b85encode(zlib.compress(json.dumps(_by_field(out)).encode())).decode()
+    return "\t".join((run_id, str(code), _sha(out), _sha(masked), _sha(rounded), stderr, packed))
 
 
 def run_corpus() -> None:
@@ -362,28 +393,41 @@ def _read(path: str) -> dict[str, list[str]]:
     return rows
 
 
-def _largest_change(old: str, new: str) -> float:
-    a = [float(v.split("=")[1]) for v in old.split(",") if not v.endswith(("-", "null"))]
-    b = [float(v.split("=")[1]) for v in new.split(",") if not v.endswith(("-", "null"))]
-    if len(a) != len(b):
-        return math.inf
-    return max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+def _field_changes(old: str, new: str) -> dict[str, float]:
+    """The largest change of each field whose numbers changed between two
+    packed number columns; inf where a field's count changed."""
+    a, b = (json.loads(zlib.decompress(base64.b85decode(p))) for p in (old, new))
+    out = {}
+    for key in a.keys() | b.keys():
+        x, y = a.get(key, []), b.get(key, [])
+        change = math.inf if len(x) != len(y) else float(np.abs(np.subtract(x, y)).max(initial=0.0))
+        if change:
+            out[key] = change
+    return out
+
+
+def _changes_text(changes: dict[str, float]) -> str:
+    return ", ".join(f"{key} {change:.3g}" for key, change in sorted(
+        changes.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
 def compare(old_path: str, new_path: str) -> None:
     """Count the runs by what changed between two outputs of this script,
-    and list the runs whose exit code or unmasked output changed."""
+    and list the runs whose exit code changed or whose output changed by
+    more than the rounding of its numbers, with each field's largest change."""
     old, new = _read(old_path), _read(new_path)
-    counts = {"runs": 0, "identical": 0, "oracle numbers only": 0, "stderr label only": 0}
+    counts = {"runs": 0, "identical": 0, "oracle numbers only": 0,
+              f"numbers below 1e-{ROUND} only": 0, "stderr label only": 0}
     exits: dict[str, list[str]] = {}
     other = []
     worst = 0.0
+    small: dict[str, float] = {}  # field -> largest change, over the runs below the rounding
     for run_id in sorted(old.keys() | new.keys()):
         if run_id not in old or run_id not in new:
             other.append(f"{run_id}: only in {'new' if run_id in new else 'old'}")
             continue
         counts["runs"] += 1
-        (c0, h0, m0, n0, e0), (c1, h1, m1, n1, e1) = old[run_id], new[run_id]
+        (c0, h0, m0, r0, e0, p0), (c1, h1, m1, r1, e1, p1) = old[run_id], new[run_id]
         if (c0, h0, e0) == (c1, h1, e1):
             counts["identical"] += 1
             continue
@@ -392,9 +436,13 @@ def compare(old_path: str, new_path: str) -> None:
             continue
         if h0 != h1 and m0 == m1:
             counts["oracle numbers only"] += 1
-            worst = max(worst, _largest_change(n0, n1))
+            worst = max([worst, *_field_changes(p0, p1).values()])
+        elif h0 != h1 and r0 == r1:
+            counts[f"numbers below 1e-{ROUND} only"] += 1
+            for key, change in _field_changes(p0, p1).items():
+                small[key] = max(small.get(key, 0.0), change)
         elif h0 != h1:
-            other.append(f"{run_id}: stdout changed")
+            other.append(f"{run_id}: stdout changed: {_changes_text(_field_changes(p0, p1))}")
         if e0 != e1:
             if LABEL.sub("", e0) == LABEL.sub("", e1):
                 counts["stderr label only"] += 1
@@ -403,6 +451,7 @@ def compare(old_path: str, new_path: str) -> None:
     for key, value in counts.items():
         print(f"{key}: {value}")
     print(f"largest oracle number change: {worst:.3g}")
+    print(f"largest change per field below 1e-{ROUND}: {_changes_text(small) or '-'}")
     for key, ids in sorted(exits.items()):
         print(f"exit {key}: {len(ids)}")
         for run_id in ids[:SHOWN]:
