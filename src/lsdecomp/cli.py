@@ -2,7 +2,7 @@
 
 Commands read a JSON state spec (file, inline string, or stdin) and write a
 machine-readable report to stdout; diagnostics go to stderr. Reports are
-deterministic byte-for-byte for a fixed input and seed. Exit codes: 0 on
+deterministic byte-for-byte for a fixed input. Exit codes: 0 on
 success, 2 on input/validation errors, 3 on numerical failure.
 """
 
@@ -108,7 +108,9 @@ def parse_spec(obj) -> StateSpec:
 def spec_to_json(spec: StateSpec) -> dict:
     name = FAMILY_BY_SPEC[type(spec)].name
     if name == "raw":
-        return {"family": "raw", **_matrix_block(np.asarray(spec.matrix), spec.dims)}
+        mat = np.asarray(spec.matrix)
+        return {"family": "raw", "dims": [int(d) for d in spec.dims],
+                "re": mat.real.tolist(), "im": mat.imag.tolist()}
     out = {"family": name}
     for field in _FIELDS[name]:
         value = getattr(spec, field)
@@ -117,10 +119,11 @@ def spec_to_json(spec: StateSpec) -> dict:
 
 
 def _matrix_block(mat: np.ndarray, dims) -> dict:
+    """A report's matrix block; `_dump` writes its parts from the arrays."""
     return {
         "dims": [int(d) for d in dims],
-        "re": mat.real.tolist(),
-        "im": mat.imag.tolist(),
+        "re": np.ascontiguousarray(mat.real),
+        "im": np.ascontiguousarray(mat.imag),
     }
 
 
@@ -140,7 +143,7 @@ def _read_input(path: str) -> dict:
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
-def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, seed: int) -> dict:
+def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None) -> dict:
     dec = lsd.decompose(spec)
     rho = dec.state
     check = lsd.verify(dec)
@@ -164,14 +167,14 @@ def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None, see
     if tuple(rho.dims) == (2, 2):
         report["concurrence"] = wootters.concurrence(rho)
     if with_oracle:
-        report["oracle"] = _oracle_block(spec, dec, tol, seed)
+        report["oracle"] = _oracle_block(spec, dec, tol)
     return report
 
 
-def _oracle_block(spec: StateSpec, dec: lsd.LSDecomposition, tol: float | None, seed: int) -> dict:
+def _oracle_block(spec: StateSpec, dec: lsd.LSDecomposition, tol: float | None) -> dict:
     family = oracle.family_for_spec(spec)
     search_tol = tol if tol is not None else 1e-7
-    lam_num, sigma = oracle.bsa_search(dec.state, family, tol=search_tol, seed=seed)
+    lam_num, sigma = oracle.bsa_search(dec.state, family, tol=search_tol)
     block = {
         "lambda_numeric": lam_num,
         "delta": abs(lam_num - dec.lam),
@@ -217,7 +220,7 @@ def _concurrence_report(spec: StateSpec) -> dict:
     }
 
 
-def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
+def _oracle_report(spec: StateSpec, tol: float | None) -> dict:
     dec = lsd.decompose(spec)
     return {
         "schema": "lsd-oracle/1",
@@ -225,7 +228,7 @@ def _oracle_report(spec: StateSpec, tol: float | None, seed: int) -> dict:
         "input": spec_to_json(spec),
         "lambda_closed": dec.lam,
         "method": dec.method,
-        "oracle": _oracle_block(spec, dec, tol, seed),
+        "oracle": _oracle_block(spec, dec, tol),
     }
 
 
@@ -366,16 +369,36 @@ _NUMBER_BYTES = b"0123456789+-.eE, "  # what the encoder writes for numbers and 
 
 
 def _dump(obj, pad: str = "\n") -> str:
-    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)`, with
-    the containers indented here. A list of lists is encoded in one call.
-    If that text is a matrix of numbers, such as a report's `re` block,
-    it is split into rows at its separators (no number's repr contains ", "
-    or "], ["): it is one when all it holds besides numbers and separators
-    are the brackets of a list of len(obj) flat lists."""
+    """`json.dumps(obj, sort_keys=True, indent=2, allow_nan=False,
+    default=np.ndarray.tolist)`, with the containers indented here.
+
+    A float64 matrix, such as a report's `re` block, is written from its
+    distinct entries: their bit patterns (so -0.0 and 0.0 stay apart) are
+    sorted, the distinct ones encoded in one call, and each entry looked
+    up. A list of lists, such as an echoed input's `re`, is encoded in one
+    call. If that text is a matrix of numbers it is split into rows at its
+    separators (no number's repr contains ", " or "], ["): it is one when
+    all it holds besides numbers and separators are the brackets of a list
+    of len(obj) flat lists."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, np.ndarray):
+        if obj.ndim != 2 or obj.dtype != np.float64 or not obj.size:
+            return _dump(obj.tolist(), pad)
+        bits = obj.view(np.uint64)
+        keys = bits.flatten()
+        keys.sort()
+        first = np.empty(keys.size, dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        distinct = keys[first]
+        text = _SCALAR.encode(distinct.view(np.float64).tolist())
+        cells = np.array(text[1:-1].split(", "), dtype=object)[distinct.searchsorted(bits)]
+        deeper = inner + "  "
+        rows = ("[" + deeper + ("," + deeper).join(row) + inner + "]" for row in cells.tolist())
+        return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, (list, tuple)) and obj:
         text = _SCALAR.encode(obj) if isinstance(obj[0], (list, tuple)) else ""
         # the encoder escapes non-ASCII text, so each character is one byte
@@ -394,7 +417,8 @@ def _emit(report: dict, fmt: str) -> None:
         try:
             text = _dump(report)
         except ValueError:  # NaN or infinity: the stock message names the value
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                              default=np.ndarray.tolist)
         sys.stdout.write(text + "\n")
         return
     _emit_text(report, indent="")
@@ -424,8 +448,8 @@ def _emit_text(obj, indent: str, first: str = "") -> None:
 def _fmt_scalar(val) -> str:
     if isinstance(val, float):
         return repr(val)
-    if isinstance(val, (list, dict)):
-        return json.dumps(val)
+    if isinstance(val, (list, dict, np.ndarray)):
+        return json.dumps(val, default=np.ndarray.tolist)
     return str(val)
 
 
@@ -465,13 +489,13 @@ def main(argv=None) -> int:
             return 0 if ok else 3
         spec = parse_spec(payload)
         if args.command == "decompose":
-            report = _decompose_report(spec, args.oracle, args.tol, args.seed)
+            report = _decompose_report(spec, args.oracle, args.tol)
         elif args.command == "separability":
             report = _separability_report(spec)
         elif args.command == "concurrence":
             report = _concurrence_report(spec)
         else:
-            report = _oracle_report(spec, args.tol, args.seed)
+            report = _oracle_report(spec, args.tol)
         _emit(report, args.format)
         return 0
     except LsdError as exc:

@@ -277,7 +277,7 @@ def lsd_werner(d: int, f: float) -> LSDecomposition:
     if f >= 0.0:
         return _separable_case(rho, "werner")
     lam = 1.0 + float(f)
-    sep = make_werner(d, 0.0)
+    sep = separability.werner_boundary(d)
     return _assemble(rho, lam, sep, "werner", separability.werner_region(d, 0.0))
 
 
@@ -287,7 +287,7 @@ def lsd_isotropic(d: int, fidelity: float) -> LSDecomposition:
     if fidelity <= 1.0 / d:
         return _separable_case(rho, "isotropic")
     lam = d * (1.0 - float(fidelity)) / (d - 1.0)
-    sep = make_isotropic(d, 1.0 / d)
+    sep = separability.isotropic_boundary(d)
     return _assemble(rho, lam, sep, "isotropic", separability.isotropic_region(d, 1.0 / d))
 
 
@@ -301,7 +301,7 @@ def lsd_horodecki33(alpha: float) -> LSDecomposition:
     if alpha <= 3.0:
         return _separable_case(rho, "horodecki33")
     lam = (5.0 - float(alpha)) / 2.0
-    sep = make_horodecki33(3.0)
+    sep = separability.horodecki33_boundary()
     return _assemble(rho, lam, sep, "horodecki33", separability.horodecki33_region(3.0))
 
 
@@ -312,7 +312,7 @@ def lsd_multi_iso(d: int, n: int, s: float) -> LSDecomposition:
     if s <= s0:
         return _separable_case(rho, "multi_iso")
     lam = (1.0 - float(s)) / (1.0 - s0)
-    sep = make_multi_iso(d, n, s0)
+    sep = separability.multi_iso_boundary(d, n)
     return _assemble(rho, lam, sep, "multi_iso", separability.multi_iso_region(d, n, s0))
 
 

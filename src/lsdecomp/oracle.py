@@ -212,23 +212,22 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
 # the non-negative mixtures of the two end states of its separable range.
 
 def werner_family(d: int) -> SeparableFamily:
-    ends = [make_werner(d, 0.0).mat, make_werner(d, 1.0).mat]
+    ends = [separability.werner_boundary(d).mat, make_werner(d, 1.0).mat]
     return _cone_family("werner", (d, d), ends, np.eye(2))
 
 
 def isotropic_family(d: int) -> SeparableFamily:
-    ends = [make_isotropic(d, 0.0).mat, make_isotropic(d, 1.0 / d).mat]
+    ends = [make_isotropic(d, 0.0).mat, separability.isotropic_boundary(d).mat]
     return _cone_family("isotropic", (d, d), ends, np.eye(2))
 
 
 def horodecki33_family() -> SeparableFamily:
-    ends = [make_horodecki33(2.0).mat, make_horodecki33(3.0).mat]
+    ends = [make_horodecki33(2.0).mat, separability.horodecki33_boundary().mat]
     return _cone_family("horodecki33", (3, 3), ends, np.eye(2))
 
 
 def multi_iso_family(d: int, n: int) -> SeparableFamily:
-    s0 = separability.multi_iso_threshold(d, n)
-    ends = [make_multi_iso(d, n, 0.0).mat, make_multi_iso(d, n, s0).mat]
+    ends = [make_multi_iso(d, n, 0.0).mat, separability.multi_iso_boundary(d, n).mat]
     return _cone_family("multi_iso", (d,) * n, ends, np.eye(2))
 
 

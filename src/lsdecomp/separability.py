@@ -8,6 +8,7 @@ the verdict (nonnegative means separable).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,11 @@ from .states import (
     dispatch,
     horodecki33_params,
     isotropic_params,
+    make_horodecki33,
+    make_isotropic,
+    make_multi_iso,
     make_raw,
+    make_werner,
     multi_iso_params,
     werner_params,
 )
@@ -164,6 +169,40 @@ def multi_iso_region(d: int, n: int, s: float) -> SeparabilityVerdict:
     """Multipartite isotropic region test: separable iff s <= s0."""
     d, n, s = multi_iso_params(d, n, s)
     return _region_verdict(multi_iso_threshold(d, n) - s, "multi_iso_threshold")
+
+
+# --------------------------------------------------------------------------
+# the separable end state of each one-parameter family: the separable part
+# of its every entangled split, and an end of its oracle search family.
+# Each is built once per validated size; like every DensityMatrix, it is
+# read-only.
+
+@functools.cache
+def _built(make, *args) -> DensityMatrix:
+    return make(*args)
+
+
+def werner_boundary(d: int) -> DensityMatrix:
+    """The Werner state at f = 0."""
+    d, _ = werner_params(d, 0.0)
+    return _built(make_werner, d, 0.0)
+
+
+def isotropic_boundary(d: int) -> DensityMatrix:
+    """The isotropic state at F = 1/d."""
+    d, _ = isotropic_params(d, 0.0)
+    return _built(make_isotropic, d, 1.0 / d)
+
+
+def horodecki33_boundary() -> DensityMatrix:
+    """The one-parameter 3x3 state at alpha = 3."""
+    return _built(make_horodecki33, 3.0)
+
+
+def multi_iso_boundary(d: int, n: int) -> DensityMatrix:
+    """The multipartite isotropic state at s = s0."""
+    d, n, _ = multi_iso_params(d, n, 0.0)
+    return _built(make_multi_iso, d, n, multi_iso_threshold(d, n))
 
 
 _REGIONS = {

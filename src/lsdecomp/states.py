@@ -229,10 +229,19 @@ def make_bd23(p) -> DensityMatrix:
     return _mixture(bell_basis_23(), p, (2, 3))
 
 
+def _whole(name: str, value) -> int:
+    """A size as an int; InputError for a fractional one, which int()
+    would truncate to another state's size."""
+    size = int(value)
+    if size != value:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return size
+
+
 def werner_params(d: int, f: float) -> tuple[int, float]:
     """(d, f) as numbers, checked against the Werner ranges and the size
     limit d*d <= 64."""
-    d = int(d)
+    d = _whole("Werner dimension", d)
     f = float(f)
     if d < 2:
         raise InputError(f"Werner dimension must be >= 2, got {d}")
@@ -256,7 +265,7 @@ def make_werner(d: int, f: float) -> DensityMatrix:
 def isotropic_params(d: int, fidelity: float) -> tuple[int, float]:
     """(d, F) as numbers, checked against the isotropic ranges and the size
     limit d*d <= 64."""
-    d = int(d)
+    d = _whole("isotropic dimension", d)
     fidelity = float(fidelity)
     if d < 2:
         raise InputError(f"isotropic dimension must be >= 2, got {d}")
@@ -313,7 +322,7 @@ def make_horodecki33(alpha: float) -> DensityMatrix:
 def multi_iso_params(d: int, n: int, s: float) -> tuple[int, int, float]:
     """(d, n, s) as numbers, checked against the multipartite ranges and
     the size limit d^n <= 64."""
-    d, n = int(d), int(n)
+    d, n = _whole("local dimension", d), _whole("party count", n)
     s = float(s)
     if d < 2:
         raise InputError(f"local dimension must be >= 2, got {d}")

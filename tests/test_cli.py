@@ -1,7 +1,11 @@
 """Command-line interface: schemas, round trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -466,7 +470,8 @@ def test_werner_and_isotropic_sizes_are_capped(capsys, command, spec):
 
 
 def _stock(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                      default=np.ndarray.tolist) + "\n"
 
 
 COMPLEX_RAW = {  # a 2x2 state with a nonzero imaginary part
@@ -533,6 +538,47 @@ def test_list_of_lists_that_is_no_matrix_prints_as_the_stock_encoder_does(obj):
     # each one takes the generic path: the encoded text is not numbers between
     # the brackets of a matrix
     assert cli._dump(obj) + "\n" == _stock(obj)
+
+
+_COMPLEX = np.asarray(COMPLEX_RAW["re"]) + 1j * np.asarray(COMPLEX_RAW["im"])
+
+
+@pytest.mark.parametrize("block", [
+    np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]]),
+    np.array([[5e-324, 1e-5, 1e16], [1e300, -5e-324, -1e-5], [-1e16, -1e300, -0.5]]),
+    np.array([[0.25]]),
+    np.random.default_rng(16).standard_normal((8, 8)),
+    np.ascontiguousarray(_COMPLEX.real),
+    np.ascontiguousarray(_COMPLEX.imag),
+    _COMPLEX.real,  # a strided view
+    np.arange(6).reshape(2, 3),  # not float64: written from its list
+    np.array([0.5, -0.0]),  # not a matrix: written from its list
+], ids=["signed_zeros", "extremes", "one_by_one", "dense_8x8", "complex_re", "complex_im",
+        "strided", "ints", "vector"])
+def test_array_blocks_print_as_the_stock_encoder_does(block):
+    # an array is written from its distinct entries, a list entry by entry
+    report = {"block": {"dims": [2, 2], "re": block}, "after": [block, 1]}
+    plain = {"block": {"dims": [2, 2], "re": block.tolist()}, "after": [block.tolist(), 1]}
+    assert cli._dump(report) + "\n" == _stock(report) == _stock(plain)
+
+
+def test_a_decompose_and_verify_round_trip_does_not_import_numpy_ma():
+    # numpy.ma, which np.unique imports on its first call, costs a fresh
+    # process about 14 ms of CPU and 1.7 MiB of memory
+    code = (
+        "import io, sys, contextlib\n"
+        "from lsdecomp import cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert cli.main(['decompose', '--input', {json.dumps(MULTI_ISO_64)!r}]) == 0\n"
+        "    assert cli.main(['verify', '--input', out.getvalue()]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):

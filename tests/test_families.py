@@ -133,8 +133,8 @@ def test_verify_of_a_real_split_matches_its_complex_copy(spec):
         elif field.name != "separable_verdict":
             assert a == b, field.name
     # the report that verify reads back gives the same weight and the same checks
-    report = cli._decompose_report(spec, False, None, 0)
-    checks = cli._verify_report(json.loads(json.dumps(report)), None)[0]["checks"]
+    report = cli._decompose_report(spec, False, None)
+    checks = cli._verify_report(json.loads(cli._dump(report)), None)[0]["checks"]
     assert checks["lambda"] == dec.lam == report["lambda"]
     assert checks["residual_rank"] == real.residual_rank
     assert checks["residual_min_eig"] == real.residual_min_eig

@@ -389,6 +389,31 @@ def test_multi_iso_weights():
     )
 
 
+@pytest.mark.parametrize("first, second", [
+    (st.Werner(d=3, f=-0.5), st.Werner(d=3.0, f=-0.2)),
+    (st.Isotropic(d=3, F=0.5), st.Isotropic(d=3.0, F=0.9)),
+    (st.Horodecki33(alpha=4.0), st.Horodecki33(alpha=4.5)),
+    (st.MultiIso(d=2, n=6, s=0.5), st.MultiIso(d=2.0, n=6.0, s=0.7)),
+], ids=["werner", "isotropic", "horodecki33", "multi_iso"])
+def test_splits_of_one_size_share_one_read_only_separable_part(first, second):
+    a, b = lsd.decompose(first), lsd.decompose(second)
+    assert a.separable_part is b.separable_part
+    assert not a.separable_part.mat.flags.writeable
+
+
+@pytest.mark.parametrize("spec, lam", [
+    (st.Isotropic(d=3.5, F=0.5), 0.75),
+    (st.MultiIso(d=2.5, n=3, s=0.5), 0.625),
+], ids=["isotropic", "multi_iso"])
+def test_fractional_sizes_are_not_split_as_a_smaller_state(spec, lam):
+    # truncating d would split the d = 3 and d = 2 states with the weights of
+    # the fractional d, 0.7 and 0.58, below their optima listed here
+    with pytest.raises(InputError, match="must be an integer"):
+        lsd.decompose(spec)
+    whole = type(spec)(**{**vars(spec), "d": int(spec.d)})
+    assert lsd.decompose(whole).lam == pytest.approx(lam, abs=1e-14)
+
+
 # -- maximality, dispatch, verification --------------------------------------
 
 def test_weight_is_maximal_within_family():

@@ -209,6 +209,21 @@ def test_param_validation():
         st.make_multi_iso(2, 1, 0.5)
 
 
+@pytest.mark.parametrize("params, args, whole, message", [
+    (st.werner_params, (2.5, -0.5), (2, -0.5), "Werner dimension must be an integer, got 2.5"),
+    (st.isotropic_params, (3.5, 0.5), (3, 0.5), "isotropic dimension must be an integer, got 3.5"),
+    (st.multi_iso_params, (2.5, 3, 0.5), (2, 3, 0.5), "local dimension must be an integer, got 2.5"),
+    (st.multi_iso_params, (2, 3.5, 0.5), (2, 3, 0.5), "party count must be an integer, got 3.5"),
+], ids=["werner_d", "isotropic_d", "multi_iso_d", "multi_iso_n"])
+def test_fractional_sizes_are_rejected(params, args, whole, message):
+    # int() would truncate them to the size of another state
+    with pytest.raises(InputError, match=message):
+        params(*args)
+    as_floats = tuple(float(a) for a in whole)
+    assert params(*as_floats) == whole
+    assert [type(v) for v in params(*as_floats)] == [type(v) for v in whole]
+
+
 def test_build_dispatch_and_raw():
     spec = st.Werner(d=2, f=-0.5)
     assert np.allclose(st.build(spec).mat, st.make_werner(2, -0.5).mat)
