@@ -280,7 +280,7 @@ def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
         "separable_status": check.separable_verdict.status,
         "separable_ok": bool(sep_ok),
         "residual_min_eig": check.residual_min_eig,
-        "residual_psd_ok": bool(check.residual_min_eig >= -1e-9),
+        "residual_psd_ok": bool(check.residual_min_eig >= -lsd.RESIDUAL_PSD_TOL),
         "residual_rank": check.residual_rank,
         "residual_purity": check.entangled_purity,
         "lambda": dec.lam,
@@ -365,7 +365,6 @@ def _selftest() -> tuple[dict, bool]:
 
 # encodes in C, since its indent is None
 _SCALAR = json.JSONEncoder(allow_nan=False)
-_NUMBER_BYTES = b"0123456789+-.eE, "  # what the encoder writes for numbers and between them
 
 
 def _dump(obj, pad: str = "\n") -> str:
@@ -375,11 +374,7 @@ def _dump(obj, pad: str = "\n") -> str:
     A float64 matrix, such as a report's `re` block, is written from its
     distinct entries: their bit patterns (so -0.0 and 0.0 stay apart) are
     sorted, the distinct ones encoded in one call, and each entry looked
-    up. A list of lists, such as an echoed input's `re`, is encoded in one
-    call. If that text is a matrix of numbers it is split into rows at its
-    separators (no number's repr contains ", " or "], ["): it is one when
-    all it holds besides numbers and separators are the brackets of a list
-    of len(obj) flat lists."""
+    up. A list is written entry by entry."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
@@ -400,15 +395,7 @@ def _dump(obj, pad: str = "\n") -> str:
         rows = ("[" + deeper + ("," + deeper).join(row) + inner + "]" for row in cells.tolist())
         return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, (list, tuple)) and obj:
-        text = _SCALAR.encode(obj) if isinstance(obj[0], (list, tuple)) else ""
-        # the encoder escapes non-ASCII text, so each character is one byte
-        if text.encode().translate(None, _NUMBER_BYTES) == b"[" + b"[]" * len(obj) + b"]":
-            deeper = inner + "  "
-            rows = ("[" + deeper + row.replace(", ", "," + deeper) + inner + "]" if row else "[]"
-                    for row in text[2:-2].split("], ["))
-        else:
-            rows = (_dump(item, inner) for item in obj)
-        return "[" + inner + ("," + inner).join(rows) + pad + "]"
+        return "[" + inner + ("," + inner).join(_dump(item, inner) for item in obj) + pad + "]"
     return _SCALAR.encode(obj)
 
 

@@ -276,7 +276,7 @@ def lsd_werner(d: int, f: float) -> LSDecomposition:
     rho = make_werner(d, f)
     if f >= 0.0:
         return _separable_case(rho, "werner")
-    lam = 1.0 + float(f)
+    lam = max(0.0, 1.0 + float(f))
     sep = separability.werner_boundary(d)
     return _assemble(rho, lam, sep, "werner", separability.werner_region(d, 0.0))
 
@@ -286,7 +286,7 @@ def lsd_isotropic(d: int, fidelity: float) -> LSDecomposition:
     rho = make_isotropic(d, fidelity)
     if fidelity <= 1.0 / d:
         return _separable_case(rho, "isotropic")
-    lam = d * (1.0 - float(fidelity)) / (d - 1.0)
+    lam = max(0.0, d * (1.0 - float(fidelity)) / (d - 1.0))
     sep = separability.isotropic_boundary(d)
     return _assemble(rho, lam, sep, "isotropic", separability.isotropic_region(d, 1.0 / d))
 
@@ -300,7 +300,7 @@ def lsd_horodecki33(alpha: float) -> LSDecomposition:
     rho = make_horodecki33(alpha)
     if alpha <= 3.0:
         return _separable_case(rho, "horodecki33")
-    lam = (5.0 - float(alpha)) / 2.0
+    lam = max(0.0, (5.0 - float(alpha)) / 2.0)
     sep = separability.horodecki33_boundary()
     return _assemble(rho, lam, sep, "horodecki33", separability.horodecki33_region(3.0))
 
@@ -311,7 +311,7 @@ def lsd_multi_iso(d: int, n: int, s: float) -> LSDecomposition:
     s0 = separability.multi_iso_threshold(d, n)
     if s <= s0:
         return _separable_case(rho, "multi_iso")
-    lam = (1.0 - float(s)) / (1.0 - s0)
+    lam = max(0.0, (1.0 - float(s)) / (1.0 - s0))
     sep = separability.multi_iso_boundary(d, n)
     return _assemble(rho, lam, sep, "multi_iso", separability.multi_iso_region(d, n, s0))
 

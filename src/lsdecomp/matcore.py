@@ -50,11 +50,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _require_square_hermitian(a: np.ndarray, rtol: float = HERM_RTOL) -> np.ndarray:
+def _require_square_hermitian(a: np.ndarray) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix is not square: shape {a.shape}")
-    if frob(a - dagger(a)) > rtol * max(1e-300, frob(a)):
+    if frob(a - dagger(a)) > HERM_RTOL * max(1e-300, frob(a)):
         raise InputError("matrix is not Hermitian within tolerance")
     return a
 
@@ -110,11 +110,11 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
     return float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
 
 
-def psd_sqrt(a, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Principal square root of a PSD matrix (negative noise clipped to 0)."""
     res = hermitian_eig(a)
     scale = max(1.0, frob(a))
-    if res.values[0] < -tol * scale:
+    if res.values[0] < -PSD_TOL * scale:
         raise NumericalError(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
     root = np.sqrt(np.maximum(res.values, 0.0))
     out = (res.vectors * root) @ dagger(res.vectors)

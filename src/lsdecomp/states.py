@@ -231,11 +231,15 @@ def make_bd23(p) -> DensityMatrix:
 
 def _whole(name: str, value) -> int:
     """A size as an int; InputError for a fractional one, which int()
-    would truncate to another state's size."""
-    size = int(value)
-    if size != value:
-        raise InputError(f"{name} must be an integer, got {value!r}")
-    return size
+    would truncate to another state's size, and for one int() rejects."""
+    try:
+        size = int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    else:
+        if size == value:
+            return size
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def werner_params(d: int, f: float) -> tuple[int, float]:

@@ -103,6 +103,20 @@ def test_oracle_agrees_on_states_with_product_support_vectors(capsys, name):
         assert report["oracle"]["delta"] <= 1e-9
 
 
+@pytest.mark.parametrize("spec, field, past", [
+    ({"family": "werner", "d": 2, "f": -1.0}, "f", -1.0 - 1e-12),
+    ({"family": "isotropic", "d": 3, "F": 1.0}, "F", 1.0 + 1e-12),
+    ({"family": "multi_iso", "d": 2, "n": 3, "s": 1.0}, "s", 1.0 + 1e-12),
+], ids=["werner", "isotropic", "multi_iso"])
+def test_a_value_just_past_the_entangled_end_reports_as_that_end(capsys, spec, field, past):
+    for command in ("decompose", "oracle"):
+        exact = run_json(capsys, command, "--input", json.dumps(spec))
+        report = run_json(capsys, command, "--input", json.dumps({**spec, field: past}))
+        assert report.pop("input") == {**spec, field: past}
+        exact.pop("input")
+        assert report == exact
+
+
 def test_oracle_block_reports_a_missing_dual_certificate(capsys, monkeypatch):
     def refuse(problem, x_hat):
         raise NoDualCertificate("F(x) is positive definite; no active constraint")
@@ -519,14 +533,37 @@ def test_hand_made_report_prints_as_the_stock_encoder_does():
     assert cli._dump(report) + "\n" == _stock(report)
 
 
+def _raw_echo(dims, re):
+    return {"input": {"family": "raw", "dims": dims, "re": re,
+                      "im": [[0.0] * len(row) for row in re]}}
+
+
 def test_hand_made_matrices_print_as_the_stock_encoder_does():
-    # a matrix of plain numbers is encoded in one call and split into rows
+    # lists of rows, such as an echoed raw input, are written entry by entry
+    signed = np.diag([0.5, 0.25, 0.25, 0.0]).tolist()
+    signed[0][3], signed[3][0], signed[1][2] = -0.0, 5e-324, -0.0
     report = {
         "one_by_one": [[0.5]], "ints_and_floats": [[1, 2.5, -3, 1e-300, 2 ** 70]],
         "empty_row": [[1, 2.5], [], [3]], "only_empty": [[], []],
         "not_all_numbers": [[1, True], [np.float64(0.5)], [None]], "cube": [[[1]], [[2.5, 0]]],
+        "raw_signed_4x4": _raw_echo([2, 2], signed),
+        "raw_ints": _raw_echo([2, 1], [[1, 0], [0, 0]]),
+        "raw_2x3": _raw_echo([2, 3], (np.eye(6) / 6).tolist()),
+        "raw_empty_row": _raw_echo([2, 2], [[1.0, 0.0], []]),
     }
     assert cli._dump(report) + "\n" == _stock(report)
+
+
+def test_verify_echoes_a_raw_input_of_integers_as_integers(capsys):
+    pure = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    spec = {"family": "raw", "dims": [2, 2], "re": pure, "im": [[0] * 4] * 4}
+    report = run_json(capsys, "decompose", "--input", json.dumps(spec))
+    report["input"] = spec
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert code == 0, err
+    echoed = json.loads(out)["input"]
+    assert echoed == spec
+    assert {type(x) for row in echoed["re"] + echoed["im"] for x in row} == {int}
 
 
 @pytest.mark.parametrize("obj", [
@@ -535,8 +572,7 @@ def test_hand_made_matrices_print_as_the_stock_encoder_does():
 ], ids=["bool", "none", "string", "string_with_separator", "string_of_brackets",
         "nested_then_number", "nested_in_row", "number_after_row", "dict_after_row"])
 def test_list_of_lists_that_is_no_matrix_prints_as_the_stock_encoder_does(obj):
-    # each one takes the generic path: the encoded text is not numbers between
-    # the brackets of a matrix
+    # rows mixed with other entries, or holding other than numbers
     assert cli._dump(obj) + "\n" == _stock(obj)
 
 

@@ -389,6 +389,30 @@ def test_multi_iso_weights():
     )
 
 
+# each size of the one-parameter families at its entangled end, with the
+# parameter 1e-12 past that end, which the range checks accept
+PAST_THE_END = [
+    *[(st.Werner(d=d, f=-1.0), "f", -1.0 - 1e-12) for d in range(2, 9)],
+    *[(st.Isotropic(d=d, F=1.0), "F", 1.0 + 1e-12) for d in range(2, 9)],
+    (st.Horodecki33(alpha=5.0), "alpha", 5.0 + 1e-12),
+    *[(st.MultiIso(d=d, n=n, s=1.0), "s", 1.0 + 1e-12)
+      for d in range(2, 9) for n in range(2, 7) if d**n <= st.MAX_SIZE],
+]
+
+
+@pytest.mark.parametrize("end, field, past", PAST_THE_END,
+                         ids=[repr(end) for end, _, _ in PAST_THE_END])
+def test_a_value_just_past_the_entangled_end_splits_as_that_end(end, field, past):
+    # the state is built at the end, so its weight is the end's 0, not the
+    # formula's -1e-12 or so
+    dec, exact = lsd.decompose(replace(end, **{field: past})), lsd.decompose(end)
+    assert dec.lam == exact.lam == 0.0
+    assert dec.method == exact.method
+    for part in ("state", "separable_part"):
+        np.testing.assert_array_equal(getattr(dec, part).mat, getattr(exact, part).mat)
+    np.testing.assert_array_equal(dec.entangled_part, exact.entangled_part)
+
+
 @pytest.mark.parametrize("first, second", [
     (st.Werner(d=3, f=-0.5), st.Werner(d=3.0, f=-0.2)),
     (st.Isotropic(d=3, F=0.5), st.Isotropic(d=3.0, F=0.9)),

@@ -1,8 +1,11 @@
 """State constructors: invariants, conventions, and spot values."""
 
+import math
+
 import numpy as np
 import pytest
 
+from lsdecomp import lsd, separability
 from lsdecomp import matcore as mc
 from lsdecomp import states as st
 from lsdecomp.errors import InputError
@@ -222,6 +225,26 @@ def test_fractional_sizes_are_rejected(params, args, whole, message):
     as_floats = tuple(float(a) for a in whole)
     assert params(*as_floats) == whole
     assert [type(v) for v in params(*as_floats)] == [type(v) for v in whole]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=repr)
+@pytest.mark.parametrize("params, spec, name", [
+    (lambda v: st.werner_params(v, -0.5), lambda v: st.Werner(d=v, f=-0.5),
+     "Werner dimension"),
+    (lambda v: st.isotropic_params(v, 0.5), lambda v: st.Isotropic(d=v, F=0.5),
+     "isotropic dimension"),
+    (lambda v: st.multi_iso_params(v, 3, 0.5), lambda v: st.MultiIso(d=v, n=3, s=0.5),
+     "local dimension"),
+    (lambda v: st.multi_iso_params(2, v, 0.5), lambda v: st.MultiIso(d=2, n=v, s=0.5),
+     "party count"),
+], ids=["werner_d", "isotropic_d", "multi_iso_d", "multi_iso_n"])
+def test_non_finite_sizes_raise_input_error(params, spec, name, value):
+    # int() raises OverflowError for an infinity and ValueError for NaN
+    message = f"{name} must be an integer, got {value!r}"
+    for call in (params, lambda v: lsd.decompose(spec(v)),
+                 lambda v: separability.family_region(spec(v))):
+        with pytest.raises(InputError, match=message):
+            call(value)
 
 
 def test_build_dispatch_and_raw():

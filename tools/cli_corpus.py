@@ -1,12 +1,13 @@
 """Run a fixed, seeded corpus of inputs through the lsdecomp CLI, in process.
 
 The corpus holds entangled and separable draws of every family,
-near-threshold, rank-deficient, vertex and near-pure states, malformed
-specs, and malformed decomposition reports. Each spec runs through `decompose` (plain,
-`--oracle` and `--format text`), `separability`, `concurrence` and
-`oracle`; every report that `decompose` writes is then run through
-`verify`, and `selftest` runs once. The package is imported from the `src`
-directory next to this script, so the output belongs to that checkout.
+near-threshold, rank-deficient, vertex and near-pure states, values just
+past a range end, malformed specs, and malformed decomposition reports.
+Each spec runs through `decompose` (plain, `--oracle` and `--format
+text`), `separability`, `concurrence` and `oracle`; every report that
+`decompose` writes is then run through `verify`, and `selftest` runs once.
+The package is imported from the `src` directory next to this script, so
+the output belongs to that checkout.
 
 Each run prints one tab-separated line:
 
@@ -367,6 +368,17 @@ def run_corpus() -> None:
     rank3 = np.diag([0.35, 0.3, 0.0, 0.35])
     rank3[0, 3] = rank3[3, 0] = 0.15
     inputs.append(("rank", json.dumps({"family": "raw", "dims": [2, 2], "re": rank3.tolist()})))
+    # 1e-12 past a one-parameter family's entangled end: the range checks
+    # accept it, and the state is built at that end
+    inputs += [("pastend", json.dumps(spec)) for spec in (
+        {"family": "werner", "d": 2, "f": -1.0 - 1e-12},
+        {"family": "werner", "d": 8, "f": -1.0 - 1e-12},
+        {"family": "isotropic", "d": 2, "F": 1.0 + 1e-12},
+        {"family": "isotropic", "d": 8, "F": 1.0 + 1e-12},
+        {"family": "multi_iso", "d": 2, "n": 3, "s": 1.0 + 1e-12},
+        {"family": "multi_iso", "d": 2, "n": 6, "s": 1.0 + 1e-12},
+        {"family": "horodecki33", "alpha": 5.0 + 1e-12},
+    )]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
