@@ -374,7 +374,9 @@ def _dump(obj, pad: str = "\n") -> str:
     A float64 matrix, such as a report's `re` block, is written from its
     distinct entries: their bit patterns (so -0.0 and 0.0 stay apart) are
     sorted, the distinct ones encoded in one call, and each entry looked
-    up. A list is written entry by entry."""
+    up. A list is written entry by entry, and a finite float with
+    `float.__repr__`, as the encoder writes it, without building an encoder
+    per entry."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
         items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
@@ -396,6 +398,8 @@ def _dump(obj, pad: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, (list, tuple)) and obj:
         return "[" + inner + ("," + inner).join(_dump(item, inner) for item in obj) + pad + "]"
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float.__repr__(obj)  # what the encoder writes; repr(np.float64) differs
     return _SCALAR.encode(obj)
 
 

@@ -6,7 +6,8 @@ separable part drawn from the state's own family. Every result is checked
 against the decomposition invariants (reconstruction, PSD residual,
 separable part inside its region) before it is returned. Bell-diagonal 2x3
 states outside the chambers the closed form covers raise
-DecompositionUnavailable.
+DecompositionUnavailable. The four one-parameter families share one
+split, `_line_split`, over their rows of `separability.LINES`.
 
 Inputs are canonicalized to the chamber the formulas cover: the dominant
 probability (or violated separability inequality) is identified and the
@@ -29,6 +30,7 @@ from .states import (
     BD22,
     BD23,
     ICD,
+    FAMILY_BY_SPEC,
     DensityMatrix,
     Horodecki33,
     Isotropic,
@@ -40,12 +42,8 @@ from .states import (
     dispatch,
     make_bd22,
     make_bd23,
-    make_horodecki33,
     make_icd,
-    make_isotropic,
-    make_multi_iso,
     make_raw,
-    make_werner,
 )
 
 RESIDUAL_PSD_TOL = 1e-9
@@ -85,26 +83,10 @@ def _ppt_tol(lam: float) -> float:
     return separability.PPT_TOL / lam if 0.0 < lam < 1.0 else separability.PPT_TOL
 
 
-def _certify_separable(sep: DensityMatrix, region: SeparabilityVerdict | None, lam: float) -> None:
-    """Require the separable part to pass its region test, or else PPT (where
-    decisive) on the weighted part lam * sep."""
-    verdict = region
-    if verdict is None:
-        verdict = separability.ppt_check(sep, _ppt_tol(lam))
-    if not verdict.is_separable:
-        raise NumericalError(
-            f"separable part failed its separability check: {verdict}"
-        )
-
-
-def _assemble(
-    rho: DensityMatrix,
-    lam: float,
-    sep: DensityMatrix,
-    method: str,
-    region: SeparabilityVerdict | None,
-) -> LSDecomposition:
-    """Validate invariants and package a decomposition with residual rho - lam*sep."""
+def _assemble(rho: DensityMatrix, lam: float, sep: DensityMatrix, method: str) -> LSDecomposition:
+    """Validate invariants and package a decomposition with residual
+    rho - lam*sep; every caller has checked that sep is separable, or
+    checks it on the result."""
     lam = float(lam)
     if not (-1e-12 <= lam <= 1.0 + 1e-12):
         raise NumericalError(f"weight {lam} outside [0, 1]")
@@ -116,7 +98,6 @@ def _assemble(
     tr = float(np.real(np.trace(ent)))
     if abs(tr - (1.0 - lam)) > 1e-9:
         raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
-    _certify_separable(sep, region, lam)
     return LSDecomposition(lam, sep, ent, method, rho)
 
 
@@ -156,15 +137,14 @@ def _pure_residual(rho, make, region, p: np.ndarray, chambers, method: str) -> L
             q = p / lam
             q[k] = 1.0 - rest / lam
             name = method
-        verdict = region(q)
-        if verdict.is_separable and (best is None or lam > best[0]):
-            best = (lam, q, verdict, name)
+        if region(q).is_separable and (best is None or lam > best[0]):
+            best = (lam, q, name)
     if best is None:
         raise DecompositionUnavailable(
             "state lies outside the chambers covered by the closed-form splits"
         )
-    lam, q, verdict, name = best
-    return _assemble(rho, lam, make(q), name, verdict)
+    lam, q, name = best
+    return _assemble(rho, lam, make(q), name)
 
 
 def lsd_bd22(p) -> LSDecomposition:
@@ -256,64 +236,42 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
     if len(product):  # adding a zero matrix would turn a -0.0 entry into 0.0
         sep_mat += product.T @ product.conj()
     lam = float(np.real(np.trace(sep_mat)))
-    if lam <= 1e-14:
-        # pure entangled state: all weight in the residual
-        sep = make_bd22([0.25] * 4)
-        return _assemble(rho, 0.0, sep, "wootters/pure", None)
-    sep = DensityMatrix(sep_mat / lam, (2, 2))
-    return _assemble(rho, lam, sep, "wootters", None)
+    if lam <= 1e-14:  # pure entangled state: all weight in the residual
+        dec = _assemble(rho, 0.0, make_bd22([0.25] * 4), "wootters/pure")
+    else:
+        dec = _assemble(rho, lam, DensityMatrix(sep_mat / lam, (2, 2)), "wootters")
+    # PPT is decisive on 2x2; held to PPT_TOL on the weighted part lam * sep
+    verdict = separability.ppt_check(dec.separable_part, _ppt_tol(dec.lam))
+    if not verdict.is_separable:
+        raise NumericalError(f"separable part failed its separability check: {verdict}")
+    return dec
 
 
 # --------------------------------------------------------------------------
-# one-parameter families
+# one-parameter families: Werner, isotropic, the 3x3 alpha state and the
+# multipartite isotropic state, one row each of separability.LINES
 
-def lsd_werner(d: int, f: float) -> LSDecomposition:
-    """Werner split: for f < 0, lam = 1 + f against the f' = 0 state.
-
-    The residual |f| (I - F) / (d^2 - d) is the normalized antisymmetric
-    projector scaled by |f|; it is pure only for d = 2.
-    """
-    rho = make_werner(d, f)
-    if f >= 0.0:
-        return _separable_case(rho, "werner")
-    lam = max(0.0, 1.0 + float(f))
-    sep = separability.werner_boundary(d)
-    return _assemble(rho, lam, sep, "werner", separability.werner_region(d, 0.0))
-
-
-def lsd_isotropic(d: int, fidelity: float) -> LSDecomposition:
-    """Isotropic split: for F > 1/d, lam = d(1 - F)/(d - 1) against F' = 1/d."""
-    rho = make_isotropic(d, fidelity)
-    if fidelity <= 1.0 / d:
-        return _separable_case(rho, "isotropic")
-    lam = max(0.0, d * (1.0 - float(fidelity)) / (d - 1.0))
-    sep = separability.isotropic_boundary(d)
-    return _assemble(rho, lam, sep, "isotropic", separability.isotropic_region(d, 1.0 / d))
+def _line_split(spec: type, *args) -> LSDecomposition:
+    """Split past the threshold x0 = num / den: lam = (x1 - x) / (x1 - x0)
+    against rho(x0), x1 the entangled end. Written (x1 - x) den / (x1 den -
+    num), lam rounds as 1 + f, d (1 - F) / (d - 1), (5 - alpha) / 2 and
+    (1 - s) / (1 - s0) do, where x0 is 0, 1/d, 3 and s0."""
+    line = separability.LINES[spec]
+    name = FAMILY_BY_SPEC[spec].name
+    rho = line.make(*args)  # built first: it checks the sizes the threshold reads
+    *sizes, x = args
+    num, den = line.threshold(*sizes)
+    x0, x1 = num / den, line.end
+    if (x - x0) * (x1 - x0) <= 0.0:  # x is not past x0 towards x1
+        return _separable_case(rho, name)
+    lam = max(0.0, (x1 - float(x)) * den / (x1 * den - num))
+    return _assemble(rho, lam, separability.line_state(spec, *sizes, x0), name)
 
 
-def lsd_horodecki33(alpha: float) -> LSDecomposition:
-    """One-parameter 3x3 split: for alpha > 3, lam = (5 - alpha)/2 against alpha' = 3.
-
-    The residual is ((alpha - 3)/2) times the alpha = 5 state (rank 4), the
-    unique trace-consistent residual of rho_alpha - lam rho_3.
-    """
-    rho = make_horodecki33(alpha)
-    if alpha <= 3.0:
-        return _separable_case(rho, "horodecki33")
-    lam = max(0.0, (5.0 - float(alpha)) / 2.0)
-    sep = separability.horodecki33_boundary()
-    return _assemble(rho, lam, sep, "horodecki33", separability.horodecki33_region(3.0))
-
-
-def lsd_multi_iso(d: int, n: int, s: float) -> LSDecomposition:
-    """Multipartite isotropic split: for s > s0, lam = (1 - s)/(1 - s0)."""
-    rho = make_multi_iso(d, n, s)
-    s0 = separability.multi_iso_threshold(d, n)
-    if s <= s0:
-        return _separable_case(rho, "multi_iso")
-    lam = max(0.0, (1.0 - float(s)) / (1.0 - s0))
-    sep = separability.multi_iso_boundary(d, n)
-    return _assemble(rho, lam, sep, "multi_iso", separability.multi_iso_region(d, n, s0))
+lsd_werner = partial(_line_split, Werner)
+lsd_isotropic = partial(_line_split, Isotropic)
+lsd_horodecki33 = partial(_line_split, Horodecki33)
+lsd_multi_iso = partial(_line_split, MultiIso)
 
 
 # --------------------------------------------------------------------------

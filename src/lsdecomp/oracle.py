@@ -12,7 +12,8 @@ Three layers:
   the family's region, written as linear rows and 2x2 blocks (Vandenberghe
   and Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
   generators, the one-parameter families the mixtures of the two end
-  states of their separable range. Its optimum is the family-restricted
+  states of their separable range (one routine, `_line_family`, over the
+  rows of `separability.LINES`). Its optimum is the family-restricted
   best separable approximation (Lewenstein and Sanpera, PRL 80, 2261,
   1998). A damped-Newton log-barrier method solves it deterministically
   from the all-ones point to a duality gap of tol/1000, but not below 1e-12.
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .states import (
     BD22,
     BD23,
     ICD,
+    FAMILY_BY_SPEC,
     DensityMatrix,
     Horodecki33,
     Isotropic,
@@ -51,11 +54,7 @@ from .states import (
     bell_basis_23,
     dispatch,
     iso_basis,
-    make_horodecki33,
-    make_isotropic,
-    make_multi_iso,
     make_raw,
-    make_werner,
 )
 
 SUPPORT_CUT = 1e-11
@@ -208,27 +207,22 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     return _cone_family("wootters", (2, 2), gens, rows)
 
 
-# A one-parameter state is affine in its parameter: its separable members are
-# the non-negative mixtures of the two end states of its separable range.
-
-def werner_family(d: int) -> SeparableFamily:
-    ends = [separability.werner_boundary(d).mat, make_werner(d, 1.0).mat]
-    return _cone_family("werner", (d, d), ends, np.eye(2))
-
-
-def isotropic_family(d: int) -> SeparableFamily:
-    ends = [make_isotropic(d, 0.0).mat, separability.isotropic_boundary(d).mat]
-    return _cone_family("isotropic", (d, d), ends, np.eye(2))
-
-
-def horodecki33_family() -> SeparableFamily:
-    ends = [make_horodecki33(2.0).mat, separability.horodecki33_boundary().mat]
-    return _cone_family("horodecki33", (3, 3), ends, np.eye(2))
+def _line_family(spec: type, *sizes) -> SeparableFamily:
+    """A one-parameter state is affine in its parameter: its separable
+    members are the non-negative mixtures of the two end states of its
+    separable range, the generators here in ascending parameter order."""
+    line = separability.LINES[spec]
+    far = separability.line_state(spec, *sizes, line.far)  # built first: it checks the sizes
+    num, den = line.threshold(*sizes)
+    near = separability.line_state(spec, *sizes, num / den)
+    ends = [far.mat, near.mat] if line.far < line.end else [near.mat, far.mat]
+    return _cone_family(FAMILY_BY_SPEC[spec].name, far.dims, ends, np.eye(2))
 
 
-def multi_iso_family(d: int, n: int) -> SeparableFamily:
-    ends = [make_multi_iso(d, n, 0.0).mat, separability.multi_iso_boundary(d, n).mat]
-    return _cone_family("multi_iso", (d,) * n, ends, np.eye(2))
+werner_family = partial(_line_family, Werner)
+isotropic_family = partial(_line_family, Isotropic)
+horodecki33_family = partial(_line_family, Horodecki33)
+multi_iso_family = partial(_line_family, MultiIso)
 
 
 _SEARCH_FAMILIES = {

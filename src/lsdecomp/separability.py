@@ -4,6 +4,9 @@ The partial-transpose criterion is decisive on 2x2 and 2x3 systems; for
 larger systems a passing PPT test is reported as inconclusive. Region tests
 return a signed margin in the natural units of the inequality that decides
 the verdict (nonnegative means separable).
+
+`LINES` holds the four one-parameter families, one row each, from which
+their splits and oracle families are read.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -172,37 +176,35 @@ def multi_iso_region(d: int, n: int, s: float) -> SeparabilityVerdict:
 
 
 # --------------------------------------------------------------------------
-# the separable end state of each one-parameter family: the separable part
-# of its every entangled split, and an end of its oracle search family.
-# Each is built once per validated size; like every DensityMatrix, it is
-# read-only.
+# the one-parameter families: Werner, isotropic, the 3x3 alpha state and
+# multipartite isotropic. Each state is affine in its parameter x: separable
+# from `far` up to the threshold x0 = num / den, with (num, den) =
+# threshold(*sizes), and entangled past it up to `end`. Past x0 it is
+# lam rho(x0) + (1 - lam) rho(end), lam = (end - x) / (end - x0)
+# (Lewenstein & Sanpera 1998).
+
+@dataclass(frozen=True)
+class Line:
+    make: Callable[..., DensityMatrix]  # make(*sizes, x)
+    threshold: Callable[..., tuple[float, float]]
+    far: float
+    end: float
+
+
+LINES = {
+    Werner: Line(make_werner, lambda d: (0.0, 1.0), 1.0, -1.0),
+    Isotropic: Line(make_isotropic, lambda d: (1.0, d), 0.0, 1.0),
+    Horodecki33: Line(make_horodecki33, lambda: (3.0, 1.0), 2.0, 5.0),
+    MultiIso: Line(make_multi_iso, lambda d, n: (multi_iso_threshold(d, n), 1.0), 0.0, 1.0),
+}
+
 
 @functools.cache
-def _built(make, *args) -> DensityMatrix:
-    return make(*args)
-
-
-def werner_boundary(d: int) -> DensityMatrix:
-    """The Werner state at f = 0."""
-    d, _ = werner_params(d, 0.0)
-    return _built(make_werner, d, 0.0)
-
-
-def isotropic_boundary(d: int) -> DensityMatrix:
-    """The isotropic state at F = 1/d."""
-    d, _ = isotropic_params(d, 0.0)
-    return _built(make_isotropic, d, 1.0 / d)
-
-
-def horodecki33_boundary() -> DensityMatrix:
-    """The one-parameter 3x3 state at alpha = 3."""
-    return _built(make_horodecki33, 3.0)
-
-
-def multi_iso_boundary(d: int, n: int) -> DensityMatrix:
-    """The multipartite isotropic state at s = s0."""
-    d, n, _ = multi_iso_params(d, n, 0.0)
-    return _built(make_multi_iso, d, n, multi_iso_threshold(d, n))
+def line_state(spec: type, *args) -> DensityMatrix:
+    """LINES[spec].make(*args), built once per argument tuple; like every
+    DensityMatrix, it is read-only. Each family's two ends of its separable
+    range are built here: its splits' separable part and its oracle family."""
+    return LINES[spec].make(*args)
 
 
 _REGIONS = {

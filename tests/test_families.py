@@ -138,3 +138,45 @@ def test_verify_of_a_real_split_matches_its_complex_copy(spec):
     assert checks["lambda"] == dec.lam == report["lambda"]
     assert checks["residual_rank"] == real.residual_rank
     assert checks["residual_min_eig"] == real.residual_min_eig
+
+
+# every size of the four one-parameter families: an entangled spec, its
+# closed-form weight, its separable range's two end states (ascending) and
+# the end at the threshold, which is the separable part of its split
+def _line_cases():
+    cases = []
+    for d in range(2, 9):
+        zero = st.Werner(d=d, f=0.0)
+        cases.append((st.Werner(d=d, f=-0.3), 1 + -0.3, [zero, st.Werner(d=d, f=1.0)], zero))
+        # F = 0.6 rounds (1 - F) / (1 - 1/d) differently at d = 3, 6 and 7
+        edge = st.Isotropic(d=d, F=1.0 / d)
+        cases.append((st.Isotropic(d=d, F=0.6), d * (1 - 0.6) / (d - 1),
+                      [st.Isotropic(d=d, F=0.0), edge], edge))
+    edge = st.Horodecki33(alpha=3.0)
+    cases.append((st.Horodecki33(alpha=4.3), (5 - 4.3) / 2, [st.Horodecki33(alpha=2.0), edge], edge))
+    for d in range(2, 9):
+        for n in range(2, 7):
+            if d**n <= 64:
+                s0 = separability.multi_iso_threshold(d, n)
+                edge = st.MultiIso(d=d, n=n, s=s0)
+                cases.append((st.MultiIso(d=d, n=n, s=0.6), (1 - 0.6) / (1 - s0),
+                              [st.MultiIso(d=d, n=n, s=0.0), edge], edge))
+    return cases
+
+
+LINE_CASES = _line_cases()
+LINE_IDS = [repr(case[0]) for case in LINE_CASES]
+
+
+@pytest.mark.parametrize("spec, lam, ends, edge", LINE_CASES, ids=LINE_IDS)
+def test_one_parameter_weight_is_its_closed_form_bit_for_bit(spec, lam, ends, edge):
+    dec = lsd.decompose(spec)
+    assert dec.lam == lam
+    assert np.array_equal(dec.separable_part.mat, st.build(edge).mat)
+
+
+@pytest.mark.parametrize("spec, lam, ends, edge", LINE_CASES, ids=LINE_IDS)
+def test_one_parameter_family_is_its_two_end_states_in_order(spec, lam, ends, edge):
+    fam = oracle.family_for_spec(spec)
+    assert np.array_equal(fam.gens, np.array([st.build(end).mat for end in ends]))
+    assert fam.dims == st.build(spec).dims

@@ -9,7 +9,7 @@ from lsdecomp import lsd
 from lsdecomp import separability as sep
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
-from lsdecomp.errors import InputError
+from lsdecomp.errors import InputError, NumericalError
 
 from helpers import (
     ginibre_state,
@@ -214,6 +214,20 @@ def test_wootters_puts_product_support_vectors_in_the_separable_part(name):
     assert abs(dec.lam - (1.0 - wo.concurrence(rho))) <= 1e-12
     assert dec.lam == pytest.approx(lam, abs=1e-12)
     assert check_decomposition(rho, dec).residual_rank == 1
+
+
+@pytest.mark.parametrize("name", ["mixed", "pure"])
+def test_wootters_rejects_a_separable_part_that_fails_ppt(monkeypatch, name):
+    # the one split whose separable part is not separable by construction
+    if name == "mixed":
+        rho = sample_entangled_2q(np.random.default_rng(8))
+    else:
+        rho = st.make_bd22([1.0, 0.0, 0.0, 0.0])
+    assert lsd.lsd_wootters(rho).lam < 1.0
+    entangled = sep.SeparabilityVerdict(status=sep.ENTANGLED, margin=-1.0, detail="ppt")
+    monkeypatch.setattr(sep, "ppt_check", lambda rho, tol=sep.PPT_TOL: entangled)
+    with pytest.raises(NumericalError, match="separable part failed its separability check"):
+        lsd.lsd_wootters(rho)
 
 
 def test_wootters_dims_check():

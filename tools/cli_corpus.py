@@ -2,7 +2,10 @@
 
 The corpus holds entangled and separable draws of every family,
 near-threshold, rank-deficient, vertex and near-pure states, values just
-past a range end, malformed specs, and malformed decomposition reports.
+past a range end, entangled one-parameter states at the sizes the draws
+miss (the `line` group: Werner and isotropic at d = 6 and 7, multipartite
+isotropic at (d, n) = (5, 2), (6, 2) and (7, 2)), malformed specs, and
+malformed decomposition reports.
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -378,6 +381,16 @@ def run_corpus() -> None:
         {"family": "multi_iso", "d": 2, "n": 3, "s": 1.0 + 1e-12},
         {"family": "multi_iso", "d": 2, "n": 6, "s": 1.0 + 1e-12},
         {"family": "horodecki33", "alpha": 5.0 + 1e-12},
+    )]
+    # one-parameter sizes the draws above miss
+    inputs += [("line", json.dumps(spec)) for spec in (
+        {"family": "werner", "d": 6, "f": -0.3},
+        {"family": "werner", "d": 7, "f": -0.3},
+        {"family": "isotropic", "d": 6, "F": 0.6},
+        {"family": "isotropic", "d": 7, "F": 0.6},
+        {"family": "multi_iso", "d": 5, "n": 2, "s": 0.6},
+        {"family": "multi_iso", "d": 6, "n": 2, "s": 0.6},
+        {"family": "multi_iso", "d": 7, "n": 2, "s": 0.6},
     )]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
