@@ -6,7 +6,7 @@ return a signed margin in the natural units of the inequality that decides
 the verdict (nonnegative means separable).
 
 `LINES` holds the four one-parameter families, one row each, from which
-their splits and oracle families are read.
+their region tests and details, splits and oracle families are read.
 """
 
 from __future__ import annotations
@@ -146,57 +146,53 @@ def multi_iso_threshold(d: int, n: int) -> float:
     return 1.0 / (1.0 + float(d) ** (n - 1))
 
 
-def werner_region(d: int, f: float) -> SeparabilityVerdict:
-    """Werner region test: separable iff 0 <= f <= 1; only f < 0 is entangled."""
-    d, f = werner_params(d, f)
-    return _region_verdict(f, "werner_f")
-
-
-def isotropic_region(d: int, fidelity: float) -> SeparabilityVerdict:
-    """Isotropic region test: separable iff F <= 1/d."""
-    d, fidelity = isotropic_params(d, fidelity)
-    return _region_verdict(1.0 / d - fidelity, "isotropic_fidelity")
-
-
-def horodecki33_region(alpha: float) -> SeparabilityVerdict:
-    """One-parameter 3x3 region test: separable iff alpha <= 3, then bound
-    entangled up to alpha = 4 and distillable above."""
-    alpha = horodecki33_params(alpha)
-    margin = 3.0 - alpha
-    if margin >= -REGION_TOL:
-        return _region_verdict(margin, "alpha_range")
-    detail = "bound_entangled" if alpha <= 4.0 else "distillable"
-    return SeparabilityVerdict(status=ENTANGLED, margin=margin, detail=detail)
-
-
-def multi_iso_region(d: int, n: int, s: float) -> SeparabilityVerdict:
-    """Multipartite isotropic region test: separable iff s <= s0."""
-    d, n, s = multi_iso_params(d, n, s)
-    return _region_verdict(multi_iso_threshold(d, n) - s, "multi_iso_threshold")
-
-
 # --------------------------------------------------------------------------
 # the one-parameter families: Werner, isotropic, the 3x3 alpha state and
 # multipartite isotropic. Each state is affine in its parameter x: separable
 # from `far` up to the threshold x0 = num / den, with (num, den) =
 # threshold(*sizes), and entangled past it up to `end`. Past x0 it is
 # lam rho(x0) + (1 - lam) rho(end), lam = (end - x) / (end - x0)
-# (Lewenstein & Sanpera 1998).
+# (Lewenstein & Sanpera 1998). A region verdict's detail is `detail`, or
+# for an entangled x that of the first (upper, detail) of `bands` with
+# x <= upper.
 
 @dataclass(frozen=True)
 class Line:
     make: Callable[..., DensityMatrix]  # make(*sizes, x)
+    params: Callable[..., tuple]  # (*sizes, x) as numbers, range-checked
     threshold: Callable[..., tuple[float, float]]
     far: float
     end: float
+    detail: str
+    bands: tuple[tuple[float, str], ...] = ()
 
 
 LINES = {
-    Werner: Line(make_werner, lambda d: (0.0, 1.0), 1.0, -1.0),
-    Isotropic: Line(make_isotropic, lambda d: (1.0, d), 0.0, 1.0),
-    Horodecki33: Line(make_horodecki33, lambda: (3.0, 1.0), 2.0, 5.0),
-    MultiIso: Line(make_multi_iso, lambda d, n: (multi_iso_threshold(d, n), 1.0), 0.0, 1.0),
+    Werner: Line(make_werner, werner_params, lambda d: (0.0, 1.0), 1.0, -1.0, "werner_f"),
+    Isotropic: Line(make_isotropic, isotropic_params, lambda d: (1.0, d), 0.0, 1.0,
+                    "isotropic_fidelity"),
+    Horodecki33: Line(make_horodecki33, horodecki33_params, lambda: (3.0, 1.0), 2.0, 5.0,
+                      "alpha_range", ((4.0, "bound_entangled"), (math.inf, "distillable"))),
+    MultiIso: Line(make_multi_iso, multi_iso_params,
+                   lambda d, n: (multi_iso_threshold(d, n), 1.0), 0.0, 1.0,
+                   "multi_iso_threshold"),
 }
+
+
+def _line_region(spec: type, *args) -> SeparabilityVerdict:
+    """Region test of a LINES row: separable iff x is not past x0 towards
+    `end`. The margin is x - x0 or x0 - x, whichever is negative past x0,
+    so f = -0.0 keeps the margin -0.0 and f = 0.0 the margin 0.0; a sign
+    factor would give both the same zero."""
+    line = LINES[spec]
+    *sizes, x = line.params(*args)  # checked first: the threshold reads the sizes
+    num, den = line.threshold(*sizes)
+    x0 = num / den
+    margin = x - x0 if line.end < x0 else x0 - x
+    detail = line.detail
+    if margin < -REGION_TOL:
+        detail = next((d for upper, d in line.bands if x <= upper), detail)
+    return _region_verdict(margin, detail)
 
 
 @functools.cache
@@ -211,10 +207,7 @@ _REGIONS = {
     BD22: bd22_region,
     ICD: icd_region,
     BD23: bd23_region,
-    Werner: werner_region,
-    Isotropic: isotropic_region,
-    Horodecki33: horodecki33_region,
-    MultiIso: multi_iso_region,
+    **{spec: functools.partial(_line_region, spec) for spec in LINES},
     Raw: lambda dims, matrix: ppt_check(make_raw(dims, matrix)),
 }
 

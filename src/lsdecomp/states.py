@@ -307,17 +307,17 @@ def _horodecki_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return proj, sigma_plus, sigma_minus
 
 
-def horodecki33_params(alpha: float) -> float:
-    """alpha as a number, checked against [2, 5]."""
+def horodecki33_params(alpha: float) -> tuple[float]:
+    """(alpha,), alpha as a number checked against [2, 5]."""
     alpha = float(alpha)
     if not (2.0 - 1e-12 <= alpha <= 5.0 + 1e-12):
         raise InputError(f"alpha={alpha} outside [2, 5]")
-    return alpha
+    return (alpha,)
 
 
 def make_horodecki33(alpha: float) -> DensityMatrix:
     """One-parameter 3x3 state (2/7)P+ + (alpha/7)s+ + ((5-alpha)/7)s-."""
-    alpha = min(5.0, max(2.0, horodecki33_params(alpha)))
+    alpha = min(5.0, max(2.0, horodecki33_params(alpha)[0]))
     proj, sigma_plus, sigma_minus = _horodecki_parts()
     mat = (2.0 / 7.0) * proj + (alpha / 7.0) * sigma_plus + ((5.0 - alpha) / 7.0) * sigma_minus
     return DensityMatrix(mat=mat, dims=(3, 3))

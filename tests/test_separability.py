@@ -1,8 +1,13 @@
 """Separability verdicts: PPT, region tests, and their agreement."""
 
+import math
+import re
+from functools import partial
+
 import numpy as np
 import pytest
 
+from lsdecomp import lsd
 from lsdecomp import separability as sep
 from lsdecomp import states as st
 from lsdecomp.errors import InputError
@@ -120,6 +125,64 @@ def test_family_region_multi_iso_threshold():
     assert sep.multi_iso_threshold(2, 3) == pytest.approx(0.2)
     assert sep.family_region(st.MultiIso(d=2, n=3, s=0.19)).status == sep.SEPARABLE
     assert sep.family_region(st.MultiIso(d=2, n=3, s=0.21)).status == sep.ENTANGLED
+
+
+MULTI_ISO_SIZES = [(d, n) for d in range(2, 9) for n in range(2, 7) if d**n <= 64]
+
+
+def _one_parameter_rows():
+    """(spec of x, threshold x0, points besides x0 and its neighbours,
+    margin of x, separable detail) for every size of the four one-parameter
+    families, with each margin written as its family's own expression."""
+    for d in range(2, 9):
+        yield partial(st.Werner, d), 0.0, (-1.0, 1.0, -0.0), lambda f: f, "werner_f"
+        yield (partial(st.Isotropic, d), 1.0 / d, (0.0, 1.0),
+               lambda F, d=d: 1.0 / d - F, "isotropic_fidelity")
+    yield (st.Horodecki33, 3.0, (2.0, 5.0, 4.0, math.nextafter(4.0, 5.0)),
+           lambda alpha: 3.0 - alpha, "alpha_range")
+    for d, n in MULTI_ISO_SIZES:
+        s0 = 1.0 / (1.0 + float(d) ** (n - 1))
+        yield (partial(st.MultiIso, d, n), s0, (0.0, 1.0),
+               lambda s, s0=s0: s0 - s, "multi_iso_threshold")
+
+
+def test_family_region_one_parameter_margins_bit_for_bit():
+    # at each threshold, +-1e-12 and +-2e-11 around it and the range ends:
+    # the margin is the family's expression, clamped to 0.0 within
+    # REGION_TOL below 0, with its sign of zero, so Werner f = -0.0 reads
+    # -0.0 and f = 0.0 reads 0.0; the 3x3 alpha state past its threshold is
+    # bound entangled up to alpha = 4 and distillable above
+    assert len(MULTI_ISO_SIZES) == 13
+    checked = 0
+    for make, x0, extra, margin_of, detail in _one_parameter_rows():
+        for x in (x0, *(x0 + e for e in (-2e-11, -1e-12, 1e-12, 2e-11)), *extra):
+            spec, margin = make(x), margin_of(x)
+            expected = 0.0 if -sep.REGION_TOL <= margin < 0.0 else margin
+            want = detail
+            if margin < -sep.REGION_TOL and make is st.Horodecki33:
+                want = "bound_entangled" if x <= 4.0 else "distillable"
+            v = sep.family_region(spec)
+            assert v.margin == expected, (spec, v)
+            assert math.copysign(1.0, v.margin) == math.copysign(1.0, expected), (spec, v)
+            assert v.status == (sep.SEPARABLE if expected >= 0.0 else sep.ENTANGLED), (spec, v)
+            assert v.detail == want, (spec, v)
+            if abs(margin) > sep.REGION_TOL:
+                assert lsd.decompose(spec).method.endswith("/separable") == v.is_separable, spec
+            checked += 1
+    assert checked == 7 * 8 + 7 * 7 + 9 + 13 * 7
+
+
+@pytest.mark.parametrize("spec", [
+    st.Isotropic(d=0, F=0.5), st.Werner(d=1, f=0.1), st.Werner(d=3, f=2.0),
+    st.Horodecki33(alpha=6.0), st.MultiIso(d=2, n=1, s=0.5), st.MultiIso(d=2, n=7, s=0.5),
+], ids=repr)
+def test_family_region_checks_ranges_before_the_threshold(spec):
+    # the sizes are checked before the threshold reads them: d = 0 raises
+    # the size error, not a division by zero
+    with pytest.raises(InputError) as built:
+        st.build(spec)
+    with pytest.raises(InputError, match=f"^{re.escape(str(built.value))}$"):
+        sep.family_region(spec)
 
 
 def test_family_region_of_raw_is_ppt():

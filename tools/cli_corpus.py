@@ -4,8 +4,11 @@ The corpus holds entangled and separable draws of every family,
 near-threshold, rank-deficient, vertex and near-pure states, values just
 past a range end, entangled one-parameter states at the sizes the draws
 miss (the `line` group: Werner and isotropic at d = 6 and 7, multipartite
-isotropic at (d, n) = (5, 2), (6, 2) and (7, 2)), malformed specs, and
-malformed decomposition reports.
+isotropic at (d, n) = (5, 2), (6, 2) and (7, 2)), one-parameter states at
+their exact thresholds (the `threshold` group: Werner at f = -0.0 and 0.0,
+isotropic at F = 1/d for d = 2..8, the 3x3 alpha state at alpha = 3, 4 and
+the next float above 4, multipartite isotropic at s0 for every d^n <= 64),
+malformed specs, and malformed decomposition reports.
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -28,6 +31,9 @@ summarized:
     python tools/cli_corpus.py > old.txt            # at the first checkout
     python tools/cli_corpus.py > new.txt            # at the second
     python tools/cli_corpus.py --compare old.txt new.txt
+
+`--compare` exits 1 when a run is missing from one output or differs in
+exit code, stdout or stderr, and 0 when every run is identical.
 """
 
 from __future__ import annotations
@@ -392,6 +398,15 @@ def run_corpus() -> None:
         {"family": "multi_iso", "d": 6, "n": 2, "s": 0.6},
         {"family": "multi_iso", "d": 7, "n": 2, "s": 0.6},
     )]
+    # each one-parameter family exactly at its threshold, and the 3x3 alpha
+    # state on either side of its bound entangled band's upper end
+    inputs += [("threshold", json.dumps(spec)) for spec in (
+        *({"family": "werner", "d": d, "f": f} for d in (2, 3) for f in (-0.0, 0.0)),
+        *({"family": "isotropic", "d": d, "F": 1.0 / d} for d in range(2, 9)),
+        *({"family": "horodecki33", "alpha": a} for a in (3.0, 4.0, math.nextafter(4.0, 5.0))),
+        *({"family": "multi_iso", "d": d, "n": n, "s": 1.0 / (1.0 + d ** (n - 1))}
+          for d in range(2, 9) for n in range(2, 7) if d**n <= 64),
+    )]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
@@ -436,10 +451,12 @@ def _changes_text(changes: dict[str, float]) -> str:
         changes.items(), key=lambda kv: (-kv[1], kv[0])))
 
 
-def compare(old_path: str, new_path: str) -> None:
+def compare(old_path: str, new_path: str) -> int:
     """Count the runs by what changed between two outputs of this script,
     and list the runs whose exit code changed or whose output changed by
-    more than the rounding of its numbers, with each field's largest change."""
+    more than the rounding of its numbers, with each field's largest change.
+    Return 0 when every run is in both outputs with the same exit code,
+    stdout and stderr, else 1."""
     old, new = _read(old_path), _read(new_path)
     counts = {"runs": 0, "identical": 0, "oracle numbers only": 0,
               f"numbers below 1e-{ROUND} only": 0, "stderr label only": 0}
@@ -484,6 +501,7 @@ def compare(old_path: str, new_path: str) -> None:
     print(f"other changes: {len(other)}")
     for text in other[:SHOWN]:
         print(f"  {text}")
+    return 0 if counts["identical"] == len(old.keys() | new.keys()) else 1
 
 
 def main() -> None:
@@ -492,9 +510,8 @@ def main() -> None:
                         help="summarize the changes between two outputs instead")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-    else:
-        run_corpus()
+        sys.exit(compare(*args.compare))
+    run_corpus()
 
 
 if __name__ == "__main__":
