@@ -7,7 +7,8 @@ against the decomposition invariants (reconstruction, PSD residual,
 separable part inside its region) before it is returned. Bell-diagonal 2x3
 states outside the chambers the closed form covers raise
 DecompositionUnavailable. The four one-parameter families share one
-split, `_line_split`, over their rows of `separability.LINES`.
+split, `_line_split`, read from the `line` of their rows of
+`states.FAMILIES`.
 
 Inputs are canonicalized to the chamber the formulas cover: the dominant
 probability (or violated separability inequality) is identified and the
@@ -30,6 +31,7 @@ from .states import (
     BD22,
     BD23,
     ICD,
+    FAMILIES,
     FAMILY_BY_SPEC,
     DensityMatrix,
     Horodecki33,
@@ -249,23 +251,22 @@ def lsd_wootters(rho: DensityMatrix) -> LSDecomposition:
 
 # --------------------------------------------------------------------------
 # one-parameter families: Werner, isotropic, the 3x3 alpha state and the
-# multipartite isotropic state, one row each of separability.LINES
+# multipartite isotropic state, each read from its states.FAMILIES row
 
 def _line_split(spec: type, *args) -> LSDecomposition:
     """Split past the threshold x0 = num / den: lam = (x1 - x) / (x1 - x0)
     against rho(x0), x1 the entangled end. Written (x1 - x) den / (x1 den -
     num), lam rounds as 1 + f, d (1 - F) / (d - 1), (5 - alpha) / 2 and
     (1 - s) / (1 - s0) do, where x0 is 0, 1/d, 3 and s0."""
-    line = separability.LINES[spec]
-    name = FAMILY_BY_SPEC[spec].name
-    rho = line.make(*args)  # built first: it checks the sizes the threshold reads
+    fam = FAMILY_BY_SPEC[spec]
+    rho = fam.make(*args)  # built first: it checks the sizes the threshold reads
     *sizes, x = args
-    num, den = line.threshold(*sizes)
-    x0, x1 = num / den, line.end
+    num, den = fam.line.threshold(*sizes)
+    x0, x1 = num / den, fam.line.end
     if (x - x0) * (x1 - x0) <= 0.0:  # x is not past x0 towards x1
-        return _separable_case(rho, name)
+        return _separable_case(rho, fam.name)
     lam = max(0.0, (x1 - float(x)) * den / (x1 * den - num))
-    return _assemble(rho, lam, separability.line_state(spec, *sizes, x0), name)
+    return _assemble(rho, lam, separability.line_state(spec, *sizes, x0), fam.name)
 
 
 lsd_werner = partial(_line_split, Werner)
@@ -292,10 +293,7 @@ _CLOSED_FORMS = {
     BD22: lsd_bd22,
     ICD: lsd_icd,
     BD23: lsd_bd23,
-    Werner: lsd_werner,
-    Isotropic: lsd_isotropic,
-    Horodecki33: lsd_horodecki33,
-    MultiIso: lsd_multi_iso,
+    **{fam.spec: partial(_line_split, fam.spec) for fam in FAMILIES if fam.line},
     Raw: _lsd_raw,
 }
 

@@ -12,8 +12,8 @@ Three layers:
   the family's region, written as linear rows and 2x2 blocks (Vandenberghe
   and Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
   generators, the one-parameter families the mixtures of the two end
-  states of their separable range (one routine, `_line_family`, over the
-  rows of `separability.LINES`). Its optimum is the family-restricted
+  states of their separable range (one routine, `_line_family`, read
+  from their rows of `states.FAMILIES`). Its optimum is the family-restricted
   best separable approximation (Lewenstein and Sanpera, PRL 80, 2261,
   1998). A damped-Newton log-barrier method solves it deterministically
   from the all-ones point to a duality gap of tol/1000, but not below 1e-12.
@@ -42,6 +42,7 @@ from .states import (
     BD22,
     BD23,
     ICD,
+    FAMILIES,
     FAMILY_BY_SPEC,
     DensityMatrix,
     Horodecki33,
@@ -53,6 +54,7 @@ from .states import (
     bell_basis_22,
     bell_basis_23,
     dispatch,
+    icd_theta,
     iso_basis,
     make_raw,
 )
@@ -161,6 +163,7 @@ def icd_family(theta: float) -> SeparableFamily:
     """Two second-order cones ||(y1-y2, c(y3-y4))|| <= (y3+y4)/s and the
     same with the pairs swapped, s = |sin 2 theta|, c = sqrt(1/s^2 - 1);
     each is the 2x2 block [[tau + a, b], [b, tau - a]]."""
+    theta = icd_theta(theta)
     s = abs(math.sin(2.0 * theta))
     c = math.sqrt(max(1.0 / (s * s) - 1.0, 0.0))
     u = 1.0 / s
@@ -211,12 +214,13 @@ def _line_family(spec: type, *sizes) -> SeparableFamily:
     """A one-parameter state is affine in its parameter: its separable
     members are the non-negative mixtures of the two end states of its
     separable range, the generators here in ascending parameter order."""
-    line = separability.LINES[spec]
+    fam = FAMILY_BY_SPEC[spec]
+    line = fam.line
     far = separability.line_state(spec, *sizes, line.far)  # built first: it checks the sizes
     num, den = line.threshold(*sizes)
     near = separability.line_state(spec, *sizes, num / den)
     ends = [far.mat, near.mat] if line.far < line.end else [near.mat, far.mat]
-    return _cone_family(FAMILY_BY_SPEC[spec].name, far.dims, ends, np.eye(2))
+    return _cone_family(fam.name, far.dims, ends, np.eye(2))
 
 
 werner_family = partial(_line_family, Werner)
@@ -229,10 +233,9 @@ _SEARCH_FAMILIES = {
     BD22: lambda p: bd22_family(),
     ICD: lambda theta, p: icd_family(theta),
     BD23: lambda p: bd23_family(),
-    Werner: lambda d, f: werner_family(d),
-    Isotropic: lambda d, fidelity: isotropic_family(d),
-    Horodecki33: lambda alpha: horodecki33_family(),
-    MultiIso: lambda d, n, s: multi_iso_family(d, n),
+    # a one-parameter spec's family is that of its sizes, its fields but the last
+    **{fam.spec: lambda *args, spec=fam.spec: _line_family(spec, *args[:-1])
+       for fam in FAMILIES if fam.line},
     Raw: lambda dims, matrix: wootters_family(make_raw(dims, matrix)),
 }
 

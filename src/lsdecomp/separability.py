@@ -5,8 +5,8 @@ larger systems a passing PPT test is reported as inconclusive. Region tests
 return a signed margin in the natural units of the inequality that decides
 the verdict (nonnegative means separable).
 
-`LINES` holds the four one-parameter families, one row each, from which
-their region tests and details, splits and oracle families are read.
+The four one-parameter families get one region test, `_line_region`,
+read from the `line` of their rows of `states.FAMILIES`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,25 +22,17 @@ from .errors import InputError
 from .states import (
     BD22,
     BD23,
+    FAMILIES,
+    FAMILY_BY_SPEC,
     ICD,
     DensityMatrix,
-    Horodecki33,
-    Isotropic,
-    MultiIso,
     Raw,
     StateSpec,
-    Werner,
     clean_probabilities,
     dispatch,
-    horodecki33_params,
-    isotropic_params,
-    make_horodecki33,
-    make_isotropic,
-    make_multi_iso,
+    icd_theta,
     make_raw,
-    make_werner,
-    multi_iso_params,
-    werner_params,
+    multi_iso_threshold,  # noqa: F401 - re-exported
 )
 
 SEPARABLE = "separable"
@@ -114,9 +105,7 @@ def icd_margins(theta: float, p) -> list[float]:
 
 def icd_region(theta: float, p) -> SeparabilityVerdict:
     """Iso-concurrence region test; margin is the worst inequality slack."""
-    theta = float(theta)
-    if not (0.0 < theta < math.pi / 2):
-        raise InputError(f"theta must lie strictly in (0, pi/2), got {theta}")
+    theta = icd_theta(theta)
     p = clean_probabilities(p, 4)
     slacks = icd_margins(theta, p)
     worst = int(np.argmin(slacks))
@@ -141,50 +130,15 @@ def bd23_region(p) -> SeparabilityVerdict:
     return _region_verdict(float(slacks[worst]), f"S{worst + 1}")
 
 
-def multi_iso_threshold(d: int, n: int) -> float:
-    """Separability threshold s0 = 1 / (1 + d^(n-1))."""
-    return 1.0 / (1.0 + float(d) ** (n - 1))
-
-
 # --------------------------------------------------------------------------
-# the one-parameter families: Werner, isotropic, the 3x3 alpha state and
-# multipartite isotropic. Each state is affine in its parameter x: separable
-# from `far` up to the threshold x0 = num / den, with (num, den) =
-# threshold(*sizes), and entangled past it up to `end`. Past x0 it is
-# lam rho(x0) + (1 - lam) rho(end), lam = (end - x) / (end - x0)
-# (Lewenstein & Sanpera 1998). A region verdict's detail is `detail`, or
-# for an entangled x that of the first (upper, detail) of `bands` with
-# x <= upper.
-
-@dataclass(frozen=True)
-class Line:
-    make: Callable[..., DensityMatrix]  # make(*sizes, x)
-    params: Callable[..., tuple]  # (*sizes, x) as numbers, range-checked
-    threshold: Callable[..., tuple[float, float]]
-    far: float
-    end: float
-    detail: str
-    bands: tuple[tuple[float, str], ...] = ()
-
-
-LINES = {
-    Werner: Line(make_werner, werner_params, lambda d: (0.0, 1.0), 1.0, -1.0, "werner_f"),
-    Isotropic: Line(make_isotropic, isotropic_params, lambda d: (1.0, d), 0.0, 1.0,
-                    "isotropic_fidelity"),
-    Horodecki33: Line(make_horodecki33, horodecki33_params, lambda: (3.0, 1.0), 2.0, 5.0,
-                      "alpha_range", ((4.0, "bound_entangled"), (math.inf, "distillable"))),
-    MultiIso: Line(make_multi_iso, multi_iso_params,
-                   lambda d, n: (multi_iso_threshold(d, n), 1.0), 0.0, 1.0,
-                   "multi_iso_threshold"),
-}
-
+# the one-parameter families, read from their rows of states.FAMILIES
 
 def _line_region(spec: type, *args) -> SeparabilityVerdict:
-    """Region test of a LINES row: separable iff x is not past x0 towards
-    `end`. The margin is x - x0 or x0 - x, whichever is negative past x0,
-    so f = -0.0 keeps the margin -0.0 and f = 0.0 the margin 0.0; a sign
-    factor would give both the same zero."""
-    line = LINES[spec]
+    """Region test of a one-parameter family: separable iff x is not past
+    x0 towards `end`. The margin is x - x0 or x0 - x, whichever is negative
+    past x0, so f = -0.0 keeps the margin -0.0 and f = 0.0 the margin 0.0;
+    a sign factor would give both the same zero."""
+    line = FAMILY_BY_SPEC[spec].line
     *sizes, x = line.params(*args)  # checked first: the threshold reads the sizes
     num, den = line.threshold(*sizes)
     x0 = num / den
@@ -197,17 +151,18 @@ def _line_region(spec: type, *args) -> SeparabilityVerdict:
 
 @functools.cache
 def line_state(spec: type, *args) -> DensityMatrix:
-    """LINES[spec].make(*args), built once per argument tuple; like every
-    DensityMatrix, it is read-only. Each family's two ends of its separable
-    range are built here: its splits' separable part and its oracle family."""
-    return LINES[spec].make(*args)
+    """The state of a one-parameter family's constructor at `args`, built
+    once per argument tuple; like every DensityMatrix, it is read-only. Each
+    family's two ends of its separable range are built here: its splits'
+    separable part and its oracle family."""
+    return FAMILY_BY_SPEC[spec].make(*args)
 
 
 _REGIONS = {
     BD22: bd22_region,
     ICD: icd_region,
     BD23: bd23_region,
-    **{spec: functools.partial(_line_region, spec) for spec in LINES},
+    **{fam.spec: functools.partial(_line_region, fam.spec) for fam in FAMILIES if fam.line},
     Raw: lambda dims, matrix: ppt_check(make_raw(dims, matrix)),
 }
 

@@ -19,6 +19,7 @@ has complex entries.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Union
 
@@ -214,11 +215,20 @@ def make_bd22(p) -> DensityMatrix:
     return _mixture(bell_basis_22(), p, (2, 2))
 
 
-def make_icd(theta: float, p) -> DensityMatrix:
-    """Iso-concurrence 2-qubit state; theta in (0, pi/2), Bell case at pi/4."""
+def icd_theta(theta: float) -> float:
+    """theta as a number in (0, pi/2) at which sin^2(2 theta), which the
+    icd region test, split and search family divide by, is a normal double."""
     theta = float(theta)
     if not (0.0 < theta < math.pi / 2):
         raise InputError(f"theta must lie strictly in (0, pi/2), got {theta}")
+    if math.sin(2.0 * theta) ** 2 < sys.float_info.min:
+        raise InputError(f"theta={theta} is too close to 0: sin^2(2 theta) is not a normal double")
+    return theta
+
+
+def make_icd(theta: float, p) -> DensityMatrix:
+    """Iso-concurrence 2-qubit state; theta in (0, pi/2), Bell case at pi/4."""
+    theta = icd_theta(theta)
     p = clean_probabilities(p, 4)
     return _mixture(iso_basis(theta), p, (2, 2))
 
@@ -341,6 +351,11 @@ def multi_iso_params(d: int, n: int, s: float) -> tuple[int, int, float]:
     return d, n, s
 
 
+def multi_iso_threshold(d: int, n: int) -> float:
+    """Separability threshold s0 = 1 / (1 + d^(n-1))."""
+    return 1.0 / (1.0 + float(d) ** (n - 1))
+
+
 def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
     """n-party, d-level mixture (1-s) I/d^n + s |psi+><psi+|."""
     d, n, s = multi_iso_params(d, n, s)
@@ -360,8 +375,26 @@ def make_raw(dims, matrix) -> DensityMatrix:
 # the family table: one row per family
 
 @dataclass(frozen=True)
+class Line:
+    """A one-parameter family, affine in its parameter x: separable from
+    `far` up to the threshold x0 = num / den, (num, den) = threshold(*sizes),
+    and entangled past it up to `end`, where it is lam rho(x0) + (1 - lam)
+    rho(end), lam = (end - x) / (end - x0) (Lewenstein & Sanpera 1998). A
+    region verdict's detail is `detail`, or for an entangled x that of the
+    first (upper, detail) of `bands` with x <= upper."""
+
+    params: Callable[..., tuple]  # (*sizes, x) as numbers, range-checked
+    threshold: Callable[..., tuple[float, float]]
+    far: float
+    end: float
+    detail: str
+    bands: tuple[tuple[float, str], ...] = ()
+
+
+@dataclass(frozen=True)
 class Family:
-    """A supported family: its JSON tag, its spec record and its constructor.
+    """A supported family: its JSON tag, its spec record, its constructor
+    and, for a one-parameter family, its `Line`.
 
     The spec's fields are the family's JSON fields and, in the same order,
     the arguments of its constructor and of its `lsd_*` split.
@@ -370,16 +403,23 @@ class Family:
     name: str
     spec: type
     make: Callable[..., DensityMatrix]
+    line: Line | None = None
 
 
 FAMILIES = (
     Family("bd22", BD22, make_bd22),
     Family("icd", ICD, make_icd),
     Family("bd23", BD23, make_bd23),
-    Family("werner", Werner, make_werner),
-    Family("isotropic", Isotropic, make_isotropic),
-    Family("horodecki33", Horodecki33, make_horodecki33),
-    Family("multi_iso", MultiIso, make_multi_iso),
+    Family("werner", Werner, make_werner,
+           Line(werner_params, lambda d: (0.0, 1.0), 1.0, -1.0, "werner_f")),
+    Family("isotropic", Isotropic, make_isotropic,
+           Line(isotropic_params, lambda d: (1.0, d), 0.0, 1.0, "isotropic_fidelity")),
+    Family("horodecki33", Horodecki33, make_horodecki33,
+           Line(horodecki33_params, lambda: (3.0, 1.0), 2.0, 5.0, "alpha_range",
+                ((4.0, "bound_entangled"), (math.inf, "distillable")))),
+    Family("multi_iso", MultiIso, make_multi_iso,
+           Line(multi_iso_params, lambda d, n: (multi_iso_threshold(d, n), 1.0), 0.0, 1.0,
+                "multi_iso_threshold")),
     Family("raw", Raw, make_raw),
 )
 FAMILY_BY_NAME = {fam.name: fam for fam in FAMILIES}

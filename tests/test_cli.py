@@ -1,5 +1,6 @@
 """Command-line interface: schemas, round trips, exit codes, determinism."""
 
+import io
 import json
 import os
 import subprocess
@@ -263,6 +264,35 @@ def test_raw_input_and_validation_error(capsys):
     bad = {"family": "raw", "dims": [2, 2], "re": (-0.1 * np.eye(4)).tolist()}
     code, _, err = run_cli(capsys, "decompose", "--input", json.dumps(bad))
     assert code == 2
+
+
+def test_input_dash_reads_stdin(capsys, monkeypatch):
+    spec = '{"family": "werner", "d": 2, "f": -0.5}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(spec))
+    from_stdin = run_cli(capsys, "decompose", "--input", "-")
+    assert from_stdin[0] == 0, from_stdin[2]
+    assert from_stdin == run_cli(capsys, "decompose", "--input", spec)
+
+
+ICD_COMMANDS = [("decompose",), ("decompose", "--oracle"), ("separability",), ("oracle",),
+                ("concurrence",)]
+
+
+@pytest.mark.parametrize("command", ICD_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-163, 1e-161, 1e-156], ids=repr)
+def test_an_icd_angle_whose_sine_squared_is_not_normal_exits_2(capsys, command, theta):
+    spec = json.dumps({"family": "icd", "theta": theta, "p": [0.7, 0.1, 0.1, 0.1]})
+    code, out, err = run_cli(capsys, *command, "--input", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error (InputError): ")
+
+
+@pytest.mark.parametrize("command", ICD_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("theta", [7.5e-155, 1e-154], ids=repr)
+def test_the_smallest_icd_angles_with_a_normal_sine_squared_exit_0(capsys, command, theta):
+    spec = json.dumps({"family": "icd", "theta": theta, "p": [0.7, 0.1, 0.1, 0.1]})
+    code, _, err = run_cli(capsys, *command, "--input", spec)
+    assert code == 0, err
 
 
 def test_exit_code_on_parse_error(capsys):

@@ -64,6 +64,18 @@ def test_fixed_weight_dimension_check():
         orc.lambda_max_fixed(st.make_bd22([0.25] * 4), st.make_bd23([1 / 6.0] * 6))
 
 
+@pytest.mark.parametrize("check", [orc.lambda_max_bisect, orc.bsa_as_sdp],
+                         ids=["lambda_max_bisect", "bsa_as_sdp"])
+def test_fixed_candidate_size_checks(check):
+    with pytest.raises(InputError, match=r"state sizes differ: \(4, 4\) vs \(6, 6\)"):
+        check(st.make_bd22([0.25] * 4), st.make_bd23([1 / 6.0] * 6))
+
+
+def test_search_rejects_a_family_of_another_size():
+    with pytest.raises(InputError, match="family size 6 != state size 4"):
+        orc.bsa_search(st.make_bd22([0.7, 0.1, 0.1, 0.1]), orc.bd23_family())
+
+
 def test_bisect_matches_fixed_on_spots():
     rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
     sigma = st.make_bd22([0.5, 1 / 6, 1 / 6, 1 / 6])
@@ -437,6 +449,14 @@ def test_duality_interior_point_has_no_certificate():
     prob = orc.bsa_as_sdp(rho, sigma)
     with pytest.raises(NoDualCertificate):
         orc.duality_check(prob, np.array([0.5]))
+
+
+def test_duality_psd_f1_has_no_nonnegative_scaling():
+    # F(0) = diag(1, 0) has kernel e2, and tr(f1 P) = 1 > 0 on it, so no Z >= 0
+    # meets the dual equality tr(f1 Z) = -1
+    problem = orc.SdpProblem(f0=np.diag([1.0, 0.0]), f1=np.eye(2))
+    with pytest.raises(NoDualCertificate, match="no nonnegative dual scaling exists"):
+        orc.duality_check(problem, np.array([0.0]))
 
 
 def test_duality_infeasible_point_detected():

@@ -1,12 +1,14 @@
 """State constructors: invariants, conventions, and spot values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from lsdecomp import lsd, separability
 from lsdecomp import matcore as mc
+from lsdecomp import oracle as orc
 from lsdecomp import states as st
 from lsdecomp.errors import InputError
 
@@ -89,6 +91,17 @@ def test_icd_vertex_and_validity():
         st.make_icd(0.0, [0.25] * 4)
     with pytest.raises(InputError, match=r"theta must lie strictly in \(0, pi/2\), got 1.57"):
         st.make_icd(np.pi / 2, [0.25] * 4)
+
+
+@pytest.mark.parametrize("theta", [5e-324, 1e-300, 1e-163, 1e-161, 7.4e-155], ids=repr)
+def test_icd_angles_whose_sine_squared_is_not_normal_are_rejected(theta):
+    # the region test, split and search family divide by sin^2(2 theta)
+    message = re.escape(f"theta={theta!r} is too close to 0: sin^2(2 theta) is not a normal double")
+    for call in (lambda: st.make_icd(theta, [0.7, 0.1, 0.1, 0.1]),
+                 lambda: separability.icd_region(theta, [0.7, 0.1, 0.1, 0.1]),
+                 lambda: orc.icd_family(theta)):
+        with pytest.raises(InputError, match=message):
+            call()
 
 
 def test_bd23_basis_and_states():
@@ -194,6 +207,9 @@ def test_probability_validation():
         st.make_bd22([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(InputError, match="probabilities sum to 1.2, not 1"):
         st.make_bd22([0.3, 0.3, 0.3, 0.3])
+    for bad in (math.nan, math.inf):  # the CLI rejects these before they get here
+        with pytest.raises(InputError, match="probabilities contain non-finite entries"):
+            st.make_bd22([bad, 0.5, 0.25, 0.25])
     # rounding-level noise is renormalized
     rho = st.make_bd22([0.25 + 2e-10, 0.25, 0.25, 0.25])
     assert abs(np.trace(rho.mat) - 1.0) <= 1e-14
@@ -210,6 +226,11 @@ def test_param_validation():
         st.make_horodecki33(1.0)
     with pytest.raises(InputError, match="party count must be >= 2, got 1"):
         st.make_multi_iso(2, 1, 0.5)
+    with pytest.raises(InputError, match="local dimension must be >= 2, got 1"):
+        st.make_multi_iso(1, 3, 0.5)
+    for s in (1.5, -0.5):
+        with pytest.raises(InputError, match=rf"s={s} outside \[0, 1\]"):
+            st.make_multi_iso(2, 3, s)
 
 
 @pytest.mark.parametrize("params, args, whole, message", [

@@ -8,7 +8,10 @@ isotropic at (d, n) = (5, 2), (6, 2) and (7, 2)), one-parameter states at
 their exact thresholds (the `threshold` group: Werner at f = -0.0 and 0.0,
 isotropic at F = 1/d for d = 2..8, the 3x3 alpha state at alpha = 3, 4 and
 the next float above 4, multipartite isotropic at s0 for every d^n <= 64),
-malformed specs, and malformed decomposition reports.
+malformed specs, iso-concurrence states at angles from 5e-324 to 1e-154
+(the `tinytheta` group: below about 7.46e-155, sin^2(2 theta) is no
+longer a normal double and every command rejects the angle), and
+malformed decomposition reports.
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -407,6 +410,17 @@ def run_corpus() -> None:
         *({"family": "multi_iso", "d": d, "n": n, "s": 1.0 / (1.0 + d ** (n - 1))}
           for d in range(2, 9) for n in range(2, 7) if d**n <= 64),
     )]
+    # multipartite isotropic sizes and weights outside their ranges
+    inputs += [("bad", json.dumps(spec)) for spec in (
+        {"family": "multi_iso", "d": 1, "n": 3, "s": 0.5},
+        {"family": "multi_iso", "d": 2, "n": 3, "s": 1.5},
+        {"family": "multi_iso", "d": 2, "n": 3, "s": -0.5},
+    )]
+    # iso-concurrence angles on either side of the smallest one whose
+    # sin^2(2 theta) is a normal double, about 7.46e-155
+    inputs += [("tinytheta", json.dumps({"family": "icd", "theta": theta,
+                                         "p": [0.7, 0.1, 0.1, 0.1]}))
+               for theta in (5e-324, 1e-300, 1e-163, 1e-161, 1e-156, 7.5e-155, 1e-154)]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
