@@ -143,10 +143,20 @@ def _read_input(path: str) -> dict:
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
+def _checks(check: lsd.VerificationReport) -> dict:
+    """The `checks` block of a decompose report; verify adds its flags."""
+    return {
+        "reconstruction_error": check.residual_norm,
+        "separable_status": check.separable_verdict.status,
+        "residual_min_eig": check.residual_min_eig,
+        "residual_rank": check.residual_rank,
+        "residual_purity": check.entangled_purity,
+    }
+
+
 def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None) -> dict:
     dec = lsd.decompose(spec)
     rho = dec.state
-    check = lsd.verify(dec)
     report = {
         "schema": SCHEMA,
         "command": "decompose",
@@ -154,13 +164,7 @@ def _decompose_report(spec: StateSpec, with_oracle: bool, tol: float | None) -> 
         "lambda": dec.lam,
         "method": dec.method,
         "separable": _matrix_block(dec.separable_part.mat, dec.separable_part.dims),
-        "checks": {
-            "reconstruction_error": check.residual_norm,
-            "separable_status": check.separable_verdict.status,
-            "residual_min_eig": check.residual_min_eig,
-            "residual_rank": check.residual_rank,
-            "residual_purity": check.entangled_purity,
-        },
+        "checks": _checks(lsd.verify(dec)),
     }
     if dec.lam < 1.0:
         report["entangled"] = _matrix_block(dec.entangled_part, rho.dims)
@@ -273,16 +277,11 @@ def _verify_report(report, tol: float | None) -> tuple[dict, bool]:
     dec = _read_report(report)
     check = lsd.verify(dec)
     recon_tol = tol if tol is not None else 1e-10
-    sep_ok = check.separable_verdict.status != separability.ENTANGLED
     checks = {
-        "reconstruction_error": check.residual_norm,
+        **_checks(check),
         "reconstruction_ok": bool(check.residual_norm <= recon_tol),
-        "separable_status": check.separable_verdict.status,
-        "separable_ok": bool(sep_ok),
-        "residual_min_eig": check.residual_min_eig,
+        "separable_ok": check.separable_verdict.status != separability.ENTANGLED,
         "residual_psd_ok": bool(check.residual_min_eig >= -lsd.RESIDUAL_PSD_TOL),
-        "residual_rank": check.residual_rank,
-        "residual_purity": check.entangled_purity,
         "lambda": dec.lam,
     }
     ok = checks["reconstruction_ok"] and checks["separable_ok"] and checks["residual_psd_ok"]

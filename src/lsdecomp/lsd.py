@@ -52,7 +52,7 @@ RESIDUAL_PSD_TOL = 1e-9
 RANK_CUT = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LSDecomposition:
     """rho = lam * separable_part + entangled_part.
 

@@ -50,16 +50,18 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _require_square_hermitian(a: np.ndarray) -> np.ndarray:
+def _require_square_hermitian(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked matrix and its Frobenius norm."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix is not square: shape {a.shape}")
-    if frob(a - dagger(a)) > HERM_RTOL * max(1e-300, frob(a)):
+    norm = frob(a)
+    if frob(a - dagger(a)) > HERM_RTOL * max(1e-300, norm):
         raise InputError("matrix is not Hermitian within tolerance")
-    return a
+    return a, norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenResult:
     """Hermitian eigendecomposition: ascending eigenvalues, orthonormal columns."""
 
@@ -74,7 +76,7 @@ def hermitian_eig(a) -> EigenResult:
     the corresponding eigenvectors; V diag(w) V^dag reconstructs the input to
     working precision.
     """
-    a = _require_square_hermitian(a)
+    a, _ = _require_square_hermitian(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -105,9 +107,8 @@ def partial_transpose(rho, dims) -> np.ndarray:
 
 def is_psd(a, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -tol*max(1, ||A||_F)."""
-    a = _require_square_hermitian(a)
-    scale = max(1.0, frob(a))
-    return float(np.linalg.eigvalsh(a)[0]) >= -tol * scale
+    a, norm = _require_square_hermitian(a)
+    return float(np.linalg.eigvalsh(a)[0]) >= -tol * max(1.0, norm)
 
 
 def psd_sqrt(a) -> np.ndarray:

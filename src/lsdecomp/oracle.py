@@ -109,7 +109,7 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
 # --------------------------------------------------------------------------
 # separable families
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SeparableFamily:
     """A convex cone of unnormalized separable candidates.
 
@@ -455,7 +455,7 @@ def bsa_search(
 # --------------------------------------------------------------------------
 # SDP phrasing and duality diagnostics
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SdpProblem:
     """maximize x subject to F(x) = f0 + x f1 >= 0."""
 

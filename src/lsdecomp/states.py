@@ -33,7 +33,7 @@ PROB_ENTRY_TOL = 1e-12
 MAX_SIZE = 64  # largest Hilbert-space dimension of a named family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A Hermitian, unit-trace, PSD matrix with a subsystem-dimension signature."""
 

@@ -85,7 +85,7 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WoottersData:
     """Spin-flip basis of a 2-qubit state.
 
