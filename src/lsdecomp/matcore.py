@@ -10,8 +10,6 @@ functions are pure and never mutate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, NoConvergence, NumericalError
@@ -61,29 +59,6 @@ def _require_square_hermitian(a: np.ndarray) -> tuple[np.ndarray, float]:
     return a, norm
 
 
-@dataclass(frozen=True, eq=False)
-class EigenResult:
-    """Hermitian eigendecomposition: ascending eigenvalues, orthonormal columns."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(a) -> EigenResult:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending real eigenvalues and a unitary matrix whose columns are
-    the corresponding eigenvectors; V diag(w) V^dag reconstructs the input to
-    working precision.
-    """
-    a, _ = _require_square_hermitian(a)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    return EigenResult(values=w, vectors=v)
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product A (x) B."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -113,12 +88,11 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
 
 def psd_sqrt(a) -> np.ndarray:
     """Principal square root of a PSD matrix (negative noise clipped to 0)."""
-    res = hermitian_eig(a)
-    scale = max(1.0, frob(a))
-    if res.values[0] < -PSD_TOL * scale:
-        raise NumericalError(f"matrix has eigenvalue {res.values[0]:.3e} below -tol")
-    root = np.sqrt(np.maximum(res.values, 0.0))
-    out = (res.vectors * root) @ dagger(res.vectors)
+    a, norm = _require_square_hermitian(a)
+    w, v = np.linalg.eigh(a)
+    if w[0] < -PSD_TOL * max(1.0, norm):
+        raise NumericalError(f"matrix has eigenvalue {w[0]:.3e} below -tol")
+    out = (v * np.sqrt(np.maximum(w, 0.0))) @ dagger(v)
     return 0.5 * (out + dagger(out))
 
 

@@ -76,12 +76,12 @@ def lambda_max_fixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.mat.shape != sigma.mat.shape:
         raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
-    eig = matcore.hermitian_eig(rho.mat)
-    keep = eig.values > SUPPORT_CUT
-    inside = eig.vectors[:, keep].conj().T @ sigma.mat @ eig.vectors[:, keep]
+    w, v = np.linalg.eigh(rho.mat)
+    keep = w > SUPPORT_CUT
+    inside = v[:, keep].conj().T @ sigma.mat @ v[:, keep]
     if 1.0 - float(np.real(np.trace(inside))) > LEAK_TOL:
         return 0.0
-    scale = 1.0 / np.sqrt(eig.values[keep])
+    scale = 1.0 / np.sqrt(w[keep])
     return 1.0 / float(np.linalg.eigvalsh(scale[:, None] * inside * scale)[-1])
 
 
@@ -493,14 +493,12 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
     """
     x = np.asarray(x_hat, dtype=float).item()
     f_at = problem.f0 + x * problem.f1
-    f_at = 0.5 * (f_at + f_at.conj().T)
+    f_at = matcore.as_matrix(0.5 * (f_at + f_at.conj().T))
     scale = max(1.0, matcore.frob(f_at))
-    eig = matcore.hermitian_eig(f_at)
-    if eig.values[0] < -1e-9 * scale:
-        raise InfeasiblePoint(
-            f"F(x) has eigenvalue {eig.values[0]:.3e}; point is primal infeasible"
-        )
-    kernel = eig.vectors[:, eig.values <= KERNEL_CUT * scale]
+    w, v = np.linalg.eigh(f_at)
+    if w[0] < -1e-9 * scale:
+        raise InfeasiblePoint(f"F(x) has eigenvalue {w[0]:.3e}; point is primal infeasible")
+    kernel = v[:, w <= KERNEL_CUT * scale]
     if kernel.shape[1] == 0:
         raise NoDualCertificate("F(x) is positive definite; no active constraint")
     z0 = kernel @ kernel.conj().T

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Union
 
 import numpy as np
@@ -252,18 +253,22 @@ def _whole(name: str, value) -> int:
     raise InputError(f"{name} must be an integer, got {value!r}")
 
 
-def werner_params(d: int, f: float) -> tuple[int, float]:
-    """(d, f) as numbers, checked against the Werner ranges and the size
-    limit d*d <= 64."""
-    d = _whole("Werner dimension", d)
-    f = float(f)
+def _bipartite_params(kind: str, label: str, lo: float, hi: float, d, x) -> tuple[int, float]:
+    """(d, x) as numbers, checked against the family's range [lo, hi] and
+    the size limit d*d <= 64."""
+    d = _whole(f"{kind} dimension", d)
+    x = float(x)
     if d < 2:
-        raise InputError(f"Werner dimension must be >= 2, got {d}")
-    if not (-1.0 - 1e-12 <= f <= 1.0 + 1e-12):
-        raise InputError(f"Werner parameter f={f} outside [-1, 1]")
+        raise InputError(f"{kind} dimension must be >= 2, got {d}")
+    if not (lo - 1e-12 <= x <= hi + 1e-12):
+        raise InputError(f"{label}={x} outside [{lo:g}, {hi:g}]")
     if d * d > MAX_SIZE:
         raise InputError(f"d*d = {d * d} exceeds the supported maximum {MAX_SIZE}")
-    return d, f
+    return d, x
+
+
+werner_params = partial(_bipartite_params, "Werner", "Werner parameter f", -1.0, 1.0)
+isotropic_params = partial(_bipartite_params, "isotropic", "fidelity F", 0.0, 1.0)
 
 
 def make_werner(d: int, f: float) -> DensityMatrix:
@@ -274,20 +279,6 @@ def make_werner(d: int, f: float) -> DensityMatrix:
     flip = matcore.swap_operator(d)
     mat = ((d - f) * eye + (d * f - 1.0) * flip) / (d**3 - d)
     return DensityMatrix(mat=mat, dims=(d, d))
-
-
-def isotropic_params(d: int, fidelity: float) -> tuple[int, float]:
-    """(d, F) as numbers, checked against the isotropic ranges and the size
-    limit d*d <= 64."""
-    d = _whole("isotropic dimension", d)
-    fidelity = float(fidelity)
-    if d < 2:
-        raise InputError(f"isotropic dimension must be >= 2, got {d}")
-    if not (-1e-12 <= fidelity <= 1.0 + 1e-12):
-        raise InputError(f"fidelity F={fidelity} outside [0, 1]")
-    if d * d > MAX_SIZE:
-        raise InputError(f"d*d = {d * d} exceeds the supported maximum {MAX_SIZE}")
-    return d, fidelity
 
 
 def make_isotropic(d: int, fidelity: float) -> DensityMatrix:

@@ -46,9 +46,9 @@ def _support_vectors(rho: DensityMatrix) -> np.ndarray:
     A real rho is cast to complex128 first. The Takagi step needs complex
     values anyway, and the real eigensolver would round otherwise, so the
     cast gives a real rho the spin-flip basis of its complex copy."""
-    eig = matcore.hermitian_eig(rho.mat.astype(np.complex128, copy=False))
-    keep = eig.values > SUPPORT_CUT
-    return eig.vectors[:, keep] * np.sqrt(eig.values[keep])
+    w, v = np.linalg.eigh(rho.mat.astype(np.complex128, copy=False))
+    keep = w > SUPPORT_CUT
+    return v[:, keep] * np.sqrt(w[keep])
 
 
 def _takagi_of_overlap(vcols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

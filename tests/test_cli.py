@@ -300,6 +300,50 @@ def test_exit_code_on_parse_error(capsys):
     assert code == 2 and "error (InputError): input is not valid JSON: " in err
 
 
+def test_an_input_path_that_cannot_be_read_is_named(capsys, tmp_path):
+    for path, reason in ((tmp_path / "spec.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code, _, err = run_cli(capsys, "decompose", "--input", str(path))
+        assert code == 2
+        assert err == f"error (InputError): cannot read input file {str(path)!r}: {reason}\n"
+
+
+def test_malformed_json_inline_or_in_a_file_keeps_the_json_message(capsys, tmp_path):
+    message = ("error (InputError): input is not valid JSON: "
+               "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+    path = tmp_path / "spec.json"
+    path.write_text("{not json", encoding="utf-8")
+    for given in ("{not json", str(path)):
+        code, _, err = run_cli(capsys, "decompose", "--input", given)
+        assert code == 2 and err == message
+
+
+_BD22 = {"family": "bd22", "p": [0.7, 0.1, 0.1, 0.1]}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("decompose", "--input", "[1, 2]"), "spec must be a JSON object, got list"),
+    (("concurrence", "--input", '{"family": "werner", "d": 3, "f": -0.5}'),
+     "concurrence needs a 2x2 state, got dims (3, 3)"),
+    (("decompose", "--input", '{"family": "bd22", "p": [0.5, 0.25, 0.25]}'),
+     "expected 4 probabilities, got shape (3,)"),
+    (("decompose", "--input", '{"family": "raw", "dims": [2, 2], "re": [0.25, 0.25, 0.25, 0.25]}'),
+     "expected a 2-d matrix, got ndim=1"),
+    (("verify", _BD22, lambda r: r.pop("separable")),
+     "decomposition report misses required key 'separable'"),
+    (("verify", _BD22, lambda r: r.update({"schema": "other/1"})),
+     "cannot verify schema 'other/1'"),
+], ids=["spec_list", "concurrence_3x3", "bd22_three_weights", "raw_flat_re",
+        "report_no_separable", "report_other_schema"])
+def test_input_errors_exit_2_with_their_message(capsys, argv, message):
+    if argv[0] == "verify":
+        _, spec, edit = argv
+        report = run_json(capsys, "decompose", "--input", json.dumps(spec))
+        argv = ("verify", "--input", json.dumps(_broken(report, edit)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error (InputError): {message}\n")
+
+
 def test_exit_code_on_unknown_family(capsys):
     for family in ("nope", "BD22", None, 3, [1], {"a": 1}):
         spec = json.dumps({"family": family})

@@ -1,47 +1,48 @@
-"""Matrix-algebra layer: eigensolver, kron, partial transpose, Takagi."""
+"""Matrix-algebra layer: PSD square root, kron, partial transpose, Takagi."""
 
 import numpy as np
 import pytest
 
 from lsdecomp import matcore as mc
-from lsdecomp.errors import InputError
+from lsdecomp.errors import InputError, NumericalError
 
 from helpers import random_hermitian, random_unitary
 
 
-def test_hermitian_eig_identity():
-    res = mc.hermitian_eig(np.eye(2))
-    assert np.allclose(res.values, [1.0, 1.0])
+def test_psd_sqrt_identity():
+    for n in (2, 3, 8):
+        assert np.allclose(mc.psd_sqrt(np.eye(n)), np.eye(n), rtol=0.0, atol=1e-15)
 
 
-def test_hermitian_eig_diagonal_sorted_ascending():
-    res = mc.hermitian_eig(np.diag([3.0, -1.0]))
-    assert np.allclose(res.values, [-1.0, 3.0])
+def test_psd_sqrt_diagonal_clips_negative_noise():
+    root = mc.psd_sqrt(np.diag([9.0, -1e-12, 4.0]))
+    assert np.allclose(root, np.diag([3.0, 0.0, 2.0]), rtol=0.0, atol=1e-15)
 
 
-def test_hermitian_eig_sigma_y():
-    res = mc.hermitian_eig(mc.SIGMA_Y)
-    assert np.allclose(res.values, [-1.0, 1.0])
+def test_psd_sqrt_rejects_negative_eigenvalue():
+    with pytest.raises(NumericalError, match=r"matrix has eigenvalue -1\.000e\+00 below -tol"):
+        mc.psd_sqrt(mc.SIGMA_Y)
+    with pytest.raises(NumericalError, match="below -tol"):
+        mc.psd_sqrt(np.diag([1.0, -2e-9]))
+    assert np.allclose(mc.psd_sqrt(np.diag([1.0, -5e-10])), np.diag([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
-def test_hermitian_eig_reconstruction_and_unitarity(n):
+def test_psd_sqrt_is_hermitian_and_squares_back(n):
     rng = np.random.default_rng(n)
-    for _ in range(10):
-        a = random_hermitian(rng, n)
-        res = mc.hermitian_eig(a)
-        scale = max(1.0, np.linalg.norm(a))
-        recon = res.vectors @ np.diag(res.values) @ res.vectors.conj().T
-        assert np.linalg.norm(recon - a) <= 1e-10 * scale
-        assert np.linalg.norm(res.vectors @ res.vectors.conj().T - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(res.values) >= -1e-15)
+    for rank in (n, n - 1, 1):
+        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+        a = g @ g.conj().T
+        root = mc.psd_sqrt(a)
+        assert np.array_equal(root, root.conj().T)
+        assert np.linalg.norm(root @ root - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
 
 
-def test_hermitian_eig_rejects_non_hermitian():
+def test_psd_sqrt_rejects_non_hermitian():
     with pytest.raises(InputError, match="matrix is not Hermitian within tolerance"):
-        mc.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        mc.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):
-        mc.hermitian_eig(np.ones((2, 3)))
+        mc.psd_sqrt(np.ones((2, 3)))
 
 
 def test_as_matrix_keeps_real_input_real():

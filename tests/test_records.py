@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lsdecomp
-from lsdecomp import lsd, matcore, oracle, separability, wootters
+from lsdecomp import lsd, oracle, separability, wootters
 from lsdecomp import states as st
 
 SPEC = st.BD22(p=(0.7, 0.1, 0.1, 0.1))
@@ -19,7 +19,6 @@ SPEC = st.BD22(p=(0.7, 0.1, 0.1, 0.1))
 MATRIX_RECORDS = {
     "DensityMatrix": lambda: st.build(SPEC),
     "LSDecomposition": lambda: lsd.decompose(SPEC),
-    "EigenResult": lambda: matcore.hermitian_eig(np.eye(2)),
     "WoottersData": lambda: wootters.wootters_basis(st.build(SPEC)),
     "SdpProblem": lambda: oracle.bsa_as_sdp(st.build(SPEC), lsd.decompose(SPEC).separable_part),
     "SeparableFamily": lambda: oracle.family_for_spec(SPEC),
