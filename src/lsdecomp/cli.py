@@ -470,6 +470,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     if args.tol is not None and not math.isfinite(args.tol):
         _PARSER.error(f"argument --tol: must be finite, got {args.tol}")
+    if args.tol is not None and args.tol < 0.0:
+        _PARSER.error(f"argument --tol: must be >= 0, got {args.tol}")
     try:
         if args.command == "selftest":
             report, ok = _selftest()

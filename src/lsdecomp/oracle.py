@@ -9,8 +9,9 @@ Three layers:
 * `bsa_search` maximizes that weight over a family of separable candidates
   by solving one small semidefinite program. With y = L x the family's
   problem is linear in y: maximize tr S(y) subject to rho - S(y) >= 0 and
-  the family's region, written as linear rows and 2x2 blocks (Vandenberghe
-  and Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
+  the family's region, written as linear rows and stacks of equal-size
+  matrix blocks, each stack factored by one batched eigh (Vandenberghe and
+  Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
   generators, the one-parameter families the mixtures of the two end
   states of their separable range (one routine, `_line_family`, read
   from their rows of `states.FAMILIES`). Its optimum is the family-restricted
@@ -117,6 +118,7 @@ class SeparableFamily:
     state is S(y) / tr S(y) and its weight inside rho is tr S(y). The cone is
     cut out by the linear rows `rows @ y >= 0` and by the 2x2 blocks
     `blocks @ y >= 0` (PSD), and the all-ones point lies strictly inside it.
+    The search takes the blocks as one stack of equal-size blocks.
     """
 
     name: str
@@ -272,36 +274,26 @@ def _commuting_rows(f0: np.ndarray, fk: np.ndarray):
 
 
 def _lmi(rho_mat: np.ndarray, shift: float, fam: SeparableFamily):
-    """The problem as linear rows a0 + A y >= 0 and one block-diagonal matrix
-    inequality f0 + sum_k y_k fk[k] >= 0, possibly 0x0.
+    """The problem as linear rows a0 + A y >= 0 and stacks of matrix
+    inequalities f0[j] + sum_k y_k fk[k, j] >= 0, each stack a list of
+    blocks of one size n: f0 of shape (b, n, n) and fk of shape (m, b, n, n).
 
     The state constraint rho + shift*I - S(y) >= 0 becomes linear rows when
-    rho and the generators commute, and the first matrix block otherwise;
-    the region's rows and 2x2 blocks follow. Returns (a0, A) and
-    (f0, fk, entries), `entries` being the flat indices of the blocks'
-    entries in an N x N matrix.
+    rho and the generators commute, and a stack of one N x N block
+    otherwise; the region's rows follow, and its 2x2 blocks are one stack.
+    Returns (a0, A) and the list of stacks (f0, fk).
     """
     m = fam.gens.shape[0]
     state = rho_mat + shift * np.eye(rho_mat.shape[0])
     rows = _commuting_rows(state, -fam.gens)
-    parts = [(np.zeros((2, 2)), np.moveaxis(block, -1, 0)) for block in fam.blocks]
+    stacks = []
     if rows is None:
         rows = (np.zeros(0), np.zeros((0, m)))
-        parts.insert(0, (state, -fam.gens))
-    size = sum(p0.shape[0] for p0, _ in parts)
-    dtype = np.result_type(float, *(p0 for p0, _ in parts), *(pk for _, pk in parts))
-    f0 = np.zeros((size, size), dtype=dtype)
-    fk = np.zeros((m, size, size), dtype=dtype)
-    mask = np.zeros((size, size), dtype=bool)
-    at = 0
-    for p0, pk in parts:
-        k = p0.shape[0]
-        f0[at:at + k, at:at + k] = p0
-        fk[:, at:at + k, at:at + k] = pk
-        mask[at:at + k, at:at + k] = True
-        at += k
+        stacks.append((state[None], -fam.gens[:, None]))
+    if len(fam.blocks):
+        stacks.append((np.zeros(fam.blocks.shape[:3]), np.moveaxis(fam.blocks, -1, 0)))
     a0 = np.concatenate([rows[0], np.zeros(fam.rows.shape[0])])
-    return (a0, np.vstack([rows[1], fam.rows])), (f0, fk, np.flatnonzero(mask))
+    return (a0, np.vstack([rows[1], fam.rows])), stacks
 
 
 def _line_search(mus: list[float], slope: float) -> float:
@@ -330,16 +322,18 @@ def _line_search(mus: list[float], slope: float) -> float:
     return a
 
 
-def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.ndarray:
-    """Maximize c.y subject to a0 + A y > 0 and F(y) = f0 + sum_k y_k fk[k]
-    > 0, from the interior point y.
+def _barrier_max(lin, stacks, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.ndarray:
+    """Maximize c.y subject to a0 + A y > 0 and, for every block j of every
+    stack, F_j(y) = f0[j] + sum_k y_k fk[k, j] > 0, from the interior point y.
 
     Damped-Newton path following on -t c.y + barrier(y). Each Newton step is
-    solved in square-root form: with s = a0 + A y, L = F(y)^(1/2) (from its
-    eigendecomposition, so block-diagonal like F) and W_k = L^-1 fk[k] L^-1,
-    the barrier Hessian is the Gram matrix J^T J of the columns
-    J_k = (A_k / s, W_k) and its gradient is -J^T e, e = (1, I). J is
-    filled in place in one buffer per search. The SVD U S V^T of the
+    solved in square-root form: with s = a0 + A y, L_j = F_j(y)^(1/2) (from
+    one batched eigendecomposition per stack) and W_jk = L_j^-1 fk[k, j]
+    L_j^-1, the barrier Hessian is the Gram matrix J^T J of the columns
+    J_k = (A_k / s, W_1k, W_2k, ...) and its gradient is -J^T e,
+    e = (1, I, I, ...). J is filled in place in one buffer per search:
+    a stack's rows are the real parts of its blocks, entry by entry, and
+    then, for a complex stack, their imaginary parts. The SVD U S V^T of the
     column-scaled J gives the step through Q = U and R^-1 = V S^-1, without
     forming J^T J, which is singular on rank-deficient states; an exact line
     search along it, on the step's relative slack changes as Python floats,
@@ -348,40 +342,42 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
     stops once the central path's duality gap nu/t is at most gap_tol.
     """
     a0, a = lin
-    f0, fk, entries = mat
-    m, size = fk.shape[0], fk.shape[1]
-    fk_flat = fk.reshape(m, -1)
-    n_lin, n_mat = a.shape[0], entries.size
-    cplx = np.iscomplexobj(fk)
-    jac = np.empty((n_lin + n_mat * (1 + cplx), m))  # rows A / s, Re W, then Im W
-    eye = np.zeros(jac.shape[0])
-    eye[:n_lin] = 1.0
-    eye[n_lin:n_lin + n_mat] = np.eye(size).ravel()[entries]
-    nu = n_lin + size
+    n_lin, m = a.shape
+    parts, at, eye = [], n_lin, [np.ones(n_lin)]
+    for f0, fk in stacks:  # each stack with its first Jacobian row, and its part of e
+        cplx = np.iscomplexobj(f0) or np.iscomplexobj(fk)
+        parts.append((f0, fk, fk.reshape(m, -1), at, cplx))
+        eye += [np.broadcast_to(np.eye(f0.shape[-1]), f0.shape).ravel(), np.zeros(f0.size * cplx)]
+        at += f0.size * (1 + cplx)
+    jac = np.empty((at, m))
+    eye = np.concatenate(eye)
+    nu = eye.sum()  # one per linear row and per block eigenvalue
 
     def factor(y):
-        """Row slacks s and L^-1 = F(y)^(-1/2) at y, which keeps W_k inside
-        F's blocks, where `entries` reads it; LinAlgError outside."""
+        """Row slacks s and each stack's L^-1 = F(y)^(-1/2) at y;
+        LinAlgError outside."""
         s = a0 + a @ y
         if not s.min(initial=math.inf) > 0.0:
             raise np.linalg.LinAlgError("a linear slack is not positive")
-        if not size:
-            return s, None
-        evals, vecs = np.linalg.eigh(f0 + (y @ fk_flat).reshape(size, size))
-        if not evals[0] > 0.0:
-            raise np.linalg.LinAlgError("the matrix inequality does not hold strictly")
-        return s, (vecs / np.sqrt(evals)) @ vecs.conj().T
+        roots = []
+        for f0, _, fk_flat, _, _ in parts:
+            evals, vecs = np.linalg.eigh(f0 + (y @ fk_flat).reshape(f0.shape))
+            if not evals.min() > 0.0:
+                raise np.linalg.LinAlgError("a matrix inequality does not hold strictly")
+            roots.append((vecs / np.sqrt(evals)[:, None]) @ vecs.conj().swapaxes(1, 2))
+        return s, roots
 
-    s, li = factor(y)
+    s, roots = factor(y)
     t = None
     for _ in range(MAX_NEWTON):
         np.divide(a, s[:, None], out=jac[:n_lin])
-        if size:
+        ws = []
+        for li, (f0, fk, _, at, cplx) in zip(roots, parts):
             w = (li @ fk @ li).reshape(m, -1)  # li is Hermitian
-            wk = w[:, entries].T
-            jac[n_lin:n_lin + n_mat] = wk.real
+            jac[at:at + f0.size] = w.real.T
             if cplx:
-                jac[n_lin + n_mat:] = wk.imag
+                jac[at + f0.size:at + 2 * f0.size] = w.imag.T
+            ws.append(w)
         scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", jac, jac))
         jac *= scale
         q_mat, sv, vt = np.linalg.svd(jac, full_matrices=False)
@@ -398,15 +394,15 @@ def _barrier_max(lin, mat, c: np.ndarray, y: np.ndarray, gap_tol: float) -> np.n
             v = q + t * u
         dy = scale * (r_inv @ v)
         mus = ((a @ dy) / s).tolist()
-        if size:
-            mus += np.linalg.eigvalsh((dy @ w).reshape(size, size)).tolist()
+        for w, (f0, *_) in zip(ws, parts):
+            mus += np.linalg.eigvalsh((dy @ w).reshape(f0.shape)).ravel().tolist()
         step = _line_search(mus, t * float(c @ dy))
         for _ in range(BACKTRACKS):
             trial = y + step * dy
             if not math.isfinite(trial.sum()):
                 raise NoConvergence("barrier iterate is not finite")
             try:  # rounding can put a point the line search kept inside outside
-                s, li = factor(trial)
+                s, roots = factor(trial)
                 break
             except np.linalg.LinAlgError:
                 step *= 0.5
@@ -443,9 +439,9 @@ def bsa_search(
         start = np.ones(family.gens.shape[0])
         s0 = np.tensordot(start, family.gens, axes=1)
         top = float(np.linalg.eigvalsh(r.conj().T @ s0 @ r)[-1])
-        lin, mat = _lmi(rho.mat, shift, family)
+        lin, stacks = _lmi(rho.mat, shift, family)
         gap = max(tol / 1000.0, MIN_GAP)
-        y = _barrier_max(lin, mat, c, start * (0.5 / top), gap)
+        y = _barrier_max(lin, stacks, c, start * (0.5 / top), gap)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"barrier search failed: {exc}") from exc
     lam = float(c @ y)

@@ -518,14 +518,26 @@ def test_raw_matrix_entries_must_be_numbers(capsys, part, entry):
             f"field {part!r}: expected a number, got {entry!r}") in err
 
 
-@pytest.mark.parametrize("command", ["oracle", "verify"])
-@pytest.mark.parametrize("tol", ["inf", "nan", "-inf"])
-def test_non_finite_tol_is_rejected(capsys, command, tol):
+@pytest.mark.parametrize("command", ["oracle", "verify", "decompose"])
+@pytest.mark.parametrize("tol, message", [
+    ("inf", "must be finite"), ("nan", "must be finite"), ("-inf", "must be finite"),
+    ("-1", "must be >= 0, got -1.0"),
+], ids=["inf", "nan", "-inf", "-1"])
+def test_non_finite_tol_is_rejected(capsys, command, tol, message):
+    # under a negative tolerance verify would fail every check (exit 3) and
+    # the oracle would quietly search to its smallest gap
     spec = '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}'
     with pytest.raises(SystemExit) as exc:
         cli.main([command, f"--tol={tol}", "--input", spec])
     assert exc.value.code == 2
-    assert "argument --tol: must be finite" in capsys.readouterr().err
+    assert f"argument --tol: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-0.0", "0"])
+def test_zero_tol_is_accepted(capsys, tol):
+    code, _, _ = run_cli(capsys, "oracle", f"--tol={tol}", "--input",
+                         '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}')
+    assert code == 0
 
 
 def test_parse_spec_accepts_integral_floats(capsys):

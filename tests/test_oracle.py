@@ -18,6 +18,7 @@ from lsdecomp.errors import (
 
 from helpers import (
     ginibre_state,
+    random_unitary,
     sample_entangled_2q,
     sample_entangled_bd22,
     sample_entangled_bd23,
@@ -236,19 +237,32 @@ def test_search_failures_raise_no_convergence(monkeypatch):
         orc.bsa_search(rho, orc.bd22_family())
 
 
-def test_search_reads_matrix_blocks_in_their_own_coordinates():
-    # max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0 is tr rho = 1;
-    # rho does not commute with the generators, so the state constraint and
-    # the region are two 2x2 blocks of one matrix inequality
+@pytest.mark.parametrize("case", ["c2", "c4", "c4_rotated"])
+def test_search_reads_matrix_blocks_in_their_own_coordinates(case):
+    # max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0 is the trace
+    # of rho on the generators' two levels; rho does not commute with the
+    # generators, so the state constraint is a matrix block beside the
+    # region's 2x2 block: of the same size on C^2, and 4x4 on C^4, where
+    # rho has a second block and a local unitary makes rho and the
+    # generators complex
     # (the half-weight third generator puts the all-ones start inside)
     gens = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0.5], [0.5, 0]]], dtype=complex)
     region = np.array([[[1, 0, 0], [0, 0, 0.5]], [[0, 0, 0.5], [0, 1, 0]]], dtype=float)
+    rho = np.array([[0.7, 0.2], [0.2, 0.3]])
+    dims, weight = (2,), 1.0
+    if case != "c2":
+        gens = np.pad(gens.real, ((0, 0), (0, 2), (0, 2)))
+        rho = np.pad(0.5 * rho, ((0, 2), (0, 2))) + np.diag([0.0, 0.0, 0.25, 0.25])
+        dims, weight = (2, 2), 0.5
+    if case == "c4_rotated":
+        rng = np.random.default_rng(3)
+        u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
+        gens, rho = u @ gens @ u.conj().T, u @ rho @ u.conj().T
     fam = orc.SeparableFamily(
-        name="psd2", dims=(2,), gens=gens, rows=np.zeros((0, 3)), blocks=region[None],
+        name="psd2", dims=dims, gens=gens, rows=np.zeros((0, 3)), blocks=region[None],
     )
-    rho = st.DensityMatrix(np.array([[0.7, 0.2], [0.2, 0.3]]), (2,))
-    lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
-    assert lam == pytest.approx(1.0, abs=1e-9)
+    lam, _ = orc.bsa_search(st.DensityMatrix(rho, dims), fam, tol=1e-9)
+    assert lam == pytest.approx(weight, abs=1e-9)
 
 
 def test_search_separable_state_reaches_one():

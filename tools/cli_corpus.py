@@ -10,8 +10,13 @@ isotropic at F = 1/d for d = 2..8, the 3x3 alpha state at alpha = 3, 4 and
 the next float above 4, multipartite isotropic at s0 for every d^n <= 64),
 malformed specs, iso-concurrence states at angles from 5e-324 to 1e-154
 (the `tinytheta` group: below about 7.46e-155, sin^2(2 theta) is no
-longer a normal double and every command rejects the angle), and
-malformed decomposition reports.
+longer a normal double and every command rejects the angle), states
+where a region block of the oracle's family is nearly singular at the
+optimum (the `f3` group: bd23 at [0.8, 0, 0.1, 0.1, 0, 0], where the
+oracle overshoots the closed form by 6.3e-7, bd23 at [0.5, 0.1, 0.3, 0.1,
+0, 0], which has no closed form, and iso-concurrence at theta =
+1.5577053845612294 with p_1 = 0, overshot by 2.9e-9), and malformed
+decomposition reports.
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -421,6 +426,15 @@ def run_corpus() -> None:
     inputs += [("tinytheta", json.dumps({"family": "icd", "theta": theta,
                                          "p": [0.7, 0.1, 0.1, 0.1]}))
                for theta in (5e-324, 1e-300, 1e-163, 1e-161, 1e-156, 7.5e-155, 1e-154)]
+    # states whose family optimum puts a region block near singular: the
+    # oracle's EPS shift overshoots the closed form there, or the closed
+    # form is not available
+    inputs += [("f3", json.dumps(spec)) for spec in (
+        {"family": "bd23", "p": [0.8, 0.0, 0.1, 0.1, 0.0, 0.0]},
+        {"family": "bd23", "p": [0.5, 0.1, 0.3, 0.1, 0.0, 0.0]},
+        {"family": "icd", "theta": 1.5577053845612294,
+         "p": [0.0, 0.11459899488910194, 0.15087455547844814, 0.73452644963245]},
+    )]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
