@@ -82,6 +82,13 @@ def _real_array(field: str, value) -> np.ndarray:
     return arr.astype(float)
 
 
+def _same_shape(re: np.ndarray, im: np.ndarray) -> None:
+    """The two parts of a matrix have one shape; re + 1j * im would
+    broadcast them."""
+    if re.shape != im.shape:
+        raise ValueError(f"'re' has shape {re.shape} and 'im' has shape {im.shape}")
+
+
 def parse_spec(obj) -> StateSpec:
     """Parse the flat tagged JSON object {"family": ..., ...} into a StateSpec.
 
@@ -98,6 +105,7 @@ def parse_spec(obj) -> StateSpec:
             dims = tuple(_integer(v) for v in obj["dims"])
             re = _real_array("re", obj["re"])
             im = _real_array("im", obj["im"]) if "im" in obj else np.zeros_like(re)
+            _same_shape(re, im)
             return Raw(dims=dims, matrix=re + 1j * im)
         args = {name: _decode(name, tp, obj[name]) for name, tp in _FIELDS[family].items()}
     except (KeyError, TypeError, ValueError) as exc:
@@ -242,9 +250,9 @@ def _oracle_report(spec: StateSpec, tol: float | None) -> dict:
 
 def _block_matrix(block) -> np.ndarray:
     """A report's matrix block; real when its `im` is all zeros. Adding
-    that zero `im` keeps the shape checks and the signs of zero of
-    re + 1j * im."""
+    that zero `im` keeps the signs of zero of re + 1j * im."""
     re, im = _real_array("re", block["re"]), _real_array("im", block["im"])
+    _same_shape(re, im)
     return re + 1j * im if im.any() else re + im
 
 

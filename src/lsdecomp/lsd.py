@@ -303,6 +303,7 @@ def decompose(spec: StateSpec) -> LSDecomposition:
     return dispatch(_CLOSED_FORMS, spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by _require_finite
 def verify(dec: LSDecomposition) -> VerificationReport:
     """Recompute the decomposition invariants of `dec` against its state.
 
@@ -311,6 +312,9 @@ def verify(dec: LSDecomposition) -> VerificationReport:
     Rank counts eigenvalues above 1e-8 times the residual trace. The PPT
     test of the separable part, across the state's first-vs-rest cut, is
     held to PPT_TOL on lam * separable_part.
+
+    A check that overflows, as on a report of huge numbers, raises
+    NumericalError naming it.
     """
     rho, sep = dec.state, dec.separable_part
     if sep.mat.shape != rho.mat.shape:
@@ -318,9 +322,10 @@ def verify(dec: LSDecomposition) -> VerificationReport:
     implied = rho.mat - dec.lam * sep.mat
     implied = 0.5 * (implied + implied.conj().T)
     residual_norm = float(np.linalg.norm(implied - dec.entangled_part))
+    _require_finite(reconstruction_error=residual_norm)  # so implied is finite
     evals = np.linalg.eigvalsh(implied)
     min_eig = float(evals[0])
-    tr = float(np.real(np.trace(dec.entangled_part)))
+    tr = np.real(np.trace(dec.entangled_part))  # a numpy float: tr**2 overflows to inf
     if tr > 1e-12:
         if residual_norm != 0.0:  # else the stored part is the implied one
             evals = np.linalg.eigvalsh(dec.entangled_part)
@@ -330,10 +335,18 @@ def verify(dec: LSDecomposition) -> VerificationReport:
         rank = 0
         purity = None
     cut = (rho.dims[0], math.prod(rho.dims[1:]))  # not sep.dims, which a report sets
+    verdict = separability._ppt(sep.mat, cut, _ppt_tol(dec.lam))
+    _require_finite(residual_min_eig=min_eig, residual_purity=purity, ppt_margin=verdict.margin)
     return VerificationReport(
         residual_norm=residual_norm,
-        separable_verdict=separability._ppt(sep.mat, cut, _ppt_tol(dec.lam)),
+        separable_verdict=verdict,
         residual_min_eig=min_eig,
         residual_rank=rank,
         entangled_purity=purity,
     )
+
+
+def _require_finite(**checks) -> None:
+    for name, value in checks.items():
+        if value is not None and not math.isfinite(value):
+            raise NumericalError(f"check {name!r} is not finite: {value}")

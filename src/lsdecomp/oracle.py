@@ -270,7 +270,7 @@ def _commuting_rows(f0: np.ndarray, fk: np.ndarray):
     off = rot - diag[:, :, None] * np.eye(f0.shape[0])
     if np.abs(off).max() > COMMUTE_TOL:
         return None
-    return diag[0].real, diag[1:].real.T
+    return diag[0].real, diag[1:].T.real
 
 
 def _lmi(rho_mat: np.ndarray, shift: float, fam: SeparableFamily):
@@ -331,9 +331,10 @@ def _barrier_max(lin, stacks, c: np.ndarray, y: np.ndarray, gap_tol: float) -> n
     one batched eigendecomposition per stack) and W_jk = L_j^-1 fk[k, j]
     L_j^-1, the barrier Hessian is the Gram matrix J^T J of the columns
     J_k = (A_k / s, W_1k, W_2k, ...) and its gradient is -J^T e,
-    e = (1, I, I, ...). J is filled in place in one buffer per search:
-    a stack's rows are the real parts of its blocks, entry by entry, and
-    then, for a complex stack, their imaginary parts. The SVD U S V^T of the
+    e = (1, vec I, vec I, ...). J is filled in place in one buffer per
+    search: every real number of every block entry is one row, so a complex
+    entry gives two, its real part and then its imaginary part, and its
+    share of e reads 0 in the second. The SVD U S V^T of the
     column-scaled J gives the step through Q = U and R^-1 = V S^-1, without
     forming J^T J, which is singular on rank-deficient states; an exact line
     search along it, on the step's relative slack changes as Python floats,
@@ -344,11 +345,11 @@ def _barrier_max(lin, stacks, c: np.ndarray, y: np.ndarray, gap_tol: float) -> n
     a0, a = lin
     n_lin, m = a.shape
     parts, at, eye = [], n_lin, [np.ones(n_lin)]
-    for f0, fk in stacks:  # each stack with its first Jacobian row, and its part of e
-        cplx = np.iscomplexobj(f0) or np.iscomplexobj(fk)
-        parts.append((f0, fk, fk.reshape(m, -1), at, cplx))
-        eye += [np.broadcast_to(np.eye(f0.shape[-1]), f0.shape).ravel(), np.zeros(f0.size * cplx)]
-        at += f0.size * (1 + cplx)
+    for f0, fk in stacks:  # each stack with its Jacobian rows, and its part of e
+        e = np.eye(f0.shape[-1], dtype=np.result_type(f0, fk))
+        eye.append(np.broadcast_to(e, f0.shape).ravel().view(np.float64))
+        parts.append((f0, fk, fk.reshape(m, -1), slice(at, at + eye[-1].size)))
+        at += eye[-1].size
     jac = np.empty((at, m))
     eye = np.concatenate(eye)
     nu = eye.sum()  # one per linear row and per block eigenvalue
@@ -360,7 +361,7 @@ def _barrier_max(lin, stacks, c: np.ndarray, y: np.ndarray, gap_tol: float) -> n
         if not s.min(initial=math.inf) > 0.0:
             raise np.linalg.LinAlgError("a linear slack is not positive")
         roots = []
-        for f0, _, fk_flat, _, _ in parts:
+        for f0, _, fk_flat, _ in parts:
             evals, vecs = np.linalg.eigh(f0 + (y @ fk_flat).reshape(f0.shape))
             if not evals.min() > 0.0:
                 raise np.linalg.LinAlgError("a matrix inequality does not hold strictly")
@@ -372,11 +373,9 @@ def _barrier_max(lin, stacks, c: np.ndarray, y: np.ndarray, gap_tol: float) -> n
     for _ in range(MAX_NEWTON):
         np.divide(a, s[:, None], out=jac[:n_lin])
         ws = []
-        for li, (f0, fk, _, at, cplx) in zip(roots, parts):
+        for li, (_, fk, _, rows) in zip(roots, parts):
             w = (li @ fk @ li).reshape(m, -1)  # li is Hermitian
-            jac[at:at + f0.size] = w.real.T
-            if cplx:
-                jac[at + f0.size:at + 2 * f0.size] = w.imag.T
+            jac[rows] = w.view(np.float64).T
             ws.append(w)
         scale = 1.0 / np.sqrt(np.einsum("ij,ij->j", jac, jac))
         jac *= scale

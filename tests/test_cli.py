@@ -735,6 +735,43 @@ def test_verify_rejects_non_finite_report_numbers(capsys, field, edit, value):
     assert "RuntimeWarning" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda r: r["entangled"]["re"][0].__setitem__(0, 1e200),
+    lambda r: r.update({"lambda": 1e308}),
+], ids=["entangled_re_1e200", "lambda_1e308"])
+def test_verify_rejects_report_numbers_that_overflow_its_checks(capsys, edit):
+    # finite numbers, read as given, whose reconstruction error overflows
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--input", json.dumps(_broken(report, edit)))
+    assert (code, out) == (3, "")
+    assert err == "error (NumericalError): check 'reconstruction_error' is not finite: inf\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("field, edit, shapes", [
+    ("entangled", lambda r: r["entangled"].update({"im": [[0.0]]}), ((4, 4), (1, 1))),
+    ("separable", lambda r: r["separable"].update({"im": [[0.0] * 4]}), ((4, 4), (1, 4))),
+    ("entangled", lambda r: r["entangled"].update({"re": [[0.0]]}), ((1, 1), (4, 4))),
+], ids=["entangled_im_1x1", "separable_im_row", "entangled_re_1x1"])
+def test_verify_rejects_re_and_im_blocks_of_different_shapes(capsys, field, edit, shapes):
+    # re + 1j * im would broadcast the smaller part over the larger
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(_broken(report, edit)))
+    assert (code, out) == (2, "")
+    assert err == (f"error (InputError): malformed report field {field!r}: "
+                   f"'re' has shape {shapes[0]} and 'im' has shape {shapes[1]}\n")
+
+
+def test_raw_spec_rejects_an_im_of_another_shape_than_re(capsys):
+    spec = {"family": "raw", "dims": [2, 2], "re": (np.eye(4) / 4).tolist(), "im": [[0.0]]}
+    code, out, err = run_cli(capsys, "decompose", "--input", json.dumps(spec))
+    assert (code, out) == (2, "")
+    assert err == ("error (InputError): malformed fields for family 'raw': "
+                   "'re' has shape (4, 4) and 'im' has shape (1, 1)\n")
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"family": "werner", "d": 2, "f": float("nan")}, "f"),
     ({"family": "bd22", "p": [float("inf"), 0, 0, 0]}, "p"),

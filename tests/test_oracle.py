@@ -237,14 +237,14 @@ def test_search_failures_raise_no_convergence(monkeypatch):
         orc.bsa_search(rho, orc.bd22_family())
 
 
-@pytest.mark.parametrize("case", ["c2", "c4", "c4_rotated"])
-def test_search_reads_matrix_blocks_in_their_own_coordinates(case):
-    # max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0 is the trace
-    # of rho on the generators' two levels; rho does not commute with the
-    # generators, so the state constraint is a matrix block beside the
-    # region's 2x2 block: of the same size on C^2, and 4x4 on C^4, where
-    # rho has a second block and a local unitary makes rho and the
-    # generators complex
+def _psd2(case):
+    """The state, the family and the optimal weight of the psd2 problem:
+    max tr S over real symmetric 2x2 S >= 0 with rho - S >= 0, which is the
+    trace of rho on the generators' two levels. rho does not commute with
+    the generators, so the state constraint is a matrix block beside the
+    region's 2x2 block: of the same size on C^2, and 4x4 on C^4, where rho
+    has a second block and a local unitary makes rho and the generators
+    complex. The family has no linear rows."""
     # (the half-weight third generator puts the all-ones start inside)
     gens = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0.5], [0.5, 0]]], dtype=complex)
     region = np.array([[[1, 0, 0], [0, 0, 0.5]], [[0, 0, 0.5], [0, 1, 0]]], dtype=float)
@@ -261,8 +261,44 @@ def test_search_reads_matrix_blocks_in_their_own_coordinates(case):
     fam = orc.SeparableFamily(
         name="psd2", dims=dims, gens=gens, rows=np.zeros((0, 3)), blocks=region[None],
     )
-    lam, _ = orc.bsa_search(st.DensityMatrix(rho, dims), fam, tol=1e-9)
+    return st.DensityMatrix(rho, dims), fam, weight
+
+
+@pytest.mark.parametrize("case", ["c2", "c4", "c4_rotated"])
+def test_search_reads_matrix_blocks_in_their_own_coordinates(case):
+    rho, fam, weight = _psd2(case)
+    lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
     assert lam == pytest.approx(weight, abs=1e-9)
+
+
+def test_search_backtracks_when_a_matrix_block_fails_to_factor(monkeypatch):
+    # with no linear rows, every trial point that fails to factor fails in a
+    # matrix block; a first step 64 times the line search's answer leaves the
+    # region, and its halvings cost extra factorizations (measured: 6)
+    rho, fam, _ = _psd2("c2")
+    eigh, line_search = np.linalg.eigh, orc._line_search
+
+    def search(first_scale):
+        calls, steps = [], []
+
+        def counted(mat):
+            calls.append(mat.shape)
+            return eigh(mat)
+
+        def scaled(mus, slope):
+            steps.append(slope)
+            return line_search(mus, slope) * (first_scale if len(steps) == 1 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(orc, "_line_search", scaled)
+        lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
+        monkeypatch.undo()
+        return lam, len(calls)
+
+    lam, factored = search(1.0)
+    lam_scaled, factored_scaled = search(64.0)
+    assert abs(lam_scaled - lam) <= 1e-9
+    assert factored_scaled > factored
 
 
 def test_search_separable_state_reaches_one():

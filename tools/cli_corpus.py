@@ -15,8 +15,10 @@ where a region block of the oracle's family is nearly singular at the
 optimum (the `f3` group: bd23 at [0.8, 0, 0.1, 0.1, 0, 0], where the
 oracle overshoots the closed form by 6.3e-7, bd23 at [0.5, 0.1, 0.3, 0.1,
 0, 0], which has no closed form, and iso-concurrence at theta =
-1.5577053845612294 with p_1 = 0, overshot by 2.9e-9), and malformed
-decomposition reports.
+1.5577053845612294 with p_1 = 0, overshot by 2.9e-9; then iso-concurrence
+at the edge angles theta = 0.001 and 1.5697963267948966, where the oracle
+search does not converge, and theta = 0.01, overshot by 5.0e-9), and
+malformed decomposition reports.
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -300,6 +302,13 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("entangled_re_nan", edit(lambda r: r["entangled"]["re"][1].__setitem__(2, math.nan))),
         ("input_extra_nan", edit(lambda r: r["input"].update({"note": math.nan}))),
         ("lambda_huge", edit(lambda r: r.update({"lambda": 10**400}))),
+        # finite numbers whose checks overflow
+        ("entangled_re_1e200", edit(lambda r: r["entangled"]["re"][0].__setitem__(0, 1e200))),
+        ("lambda_1e308", edit(lambda r: r.update({"lambda": 1e308}))),
+        # an `im` block of another shape than its `re` block
+        ("entangled_im_1x1", edit(lambda r: r["entangled"].update({"im": [[0.0]]}))),
+        ("separable_im_row", edit(lambda r: r["separable"].update({"im": [[0.0] * 4]}))),
+        ("entangled_re_1x1", edit(lambda r: r["entangled"].update({"re": [[0.0]]}))),
     ]
 
 
@@ -435,6 +444,16 @@ def run_corpus() -> None:
         {"family": "icd", "theta": 1.5577053845612294,
          "p": [0.0, 0.11459899488910194, 0.15087455547844814, 0.73452644963245]},
     )]
+    # iso-concurrence near the angles 0 and pi/2, where the oracle search
+    # does not converge (the first two) or overshoots by 5.0e-9
+    inputs += [("f3", json.dumps({"family": "icd", "theta": theta, "p": p})) for theta, p in (
+        (0.001, [0.2, 0.0, 0.05, 0.75]),
+        (1.5697963267948966, [0.0001, 0.6365, 0.0, 0.3634]),
+        (0.01, [0.2, 0.0, 0.05, 0.75]),
+    )]
+    # a raw matrix whose `im` part has another shape than its `re` part
+    inputs.append(("bad", json.dumps({"family": "raw", "dims": [2, 2],
+                                      "re": (np.eye(4) / 4).tolist(), "im": [[0.0]]})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
