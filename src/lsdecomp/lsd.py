@@ -97,9 +97,6 @@ def _assemble(rho: DensityMatrix, lam: float, sep: DensityMatrix, method: str) -
     ent = 0.5 * (ent + ent.conj().T)
     if not matcore.is_psd(ent, RESIDUAL_PSD_TOL):
         raise NumericalError("entangled part is not PSD")
-    tr = float(np.real(np.trace(ent)))
-    if abs(tr - (1.0 - lam)) > 1e-9:
-        raise NumericalError(f"residual trace {tr} != 1 - lam = {1.0 - lam}")
     return LSDecomposition(lam, sep, ent, method, rho)
 
 

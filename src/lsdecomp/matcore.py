@@ -24,9 +24,9 @@ PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a finite 2-d array: float64 when the entries are real
-    (bool, integer or float) and complex128 when they are complex. An
-    object array is read as the numbers it holds."""
+    """Coerce to a 2-d array of finite Frobenius norm: float64 when the
+    entries are real (bool, integer or float) and complex128 when they
+    are complex. An object array is read as the numbers it holds."""
     arr = np.asarray(a)
     if arr.dtype == object:
         arr = np.array(arr.tolist())
@@ -35,8 +35,10 @@ def as_matrix(a) -> np.ndarray:
     arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim != 2:
         raise InputError(f"expected a 2-d matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InputError("matrix contains non-finite entries")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(arr)
+    if not np.isfinite(norm):
+        raise InputError("matrix contains non-finite entries or its norm overflows a double")
     return arr
 
 
@@ -53,9 +55,10 @@ def _require_square_hermitian(a: np.ndarray) -> tuple[np.ndarray, float]:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise InputError(f"matrix is not square: shape {a.shape}")
-    norm = frob(a)
-    if frob(a - dagger(a)) > HERM_RTOL * max(1e-300, norm):
-        raise InputError("matrix is not Hermitian within tolerance")
+    with np.errstate(over="ignore"):  # the skew part's norm can overflow where a's does not
+        norm, skew = frob(a), frob(a - dagger(a))
+    if skew > HERM_RTOL * max(1e-300, norm):
+        raise InputError(f"matrix is not Hermitian within {HERM_RTOL:g}")
     return a, norm
 
 
@@ -127,8 +130,9 @@ def takagi_factorize(s) -> tuple[np.ndarray, np.ndarray]:
     n = s.shape[0]
     if s.shape[0] != s.shape[1]:
         raise InputError(f"matrix is not square: shape {s.shape}")
-    scale = max(1.0, frob(s))
-    if frob(s - s.T) > 1e-12 * scale:
+    with np.errstate(over="ignore"):
+        scale, skew = max(1.0, frob(s)), frob(s - s.T)
+    if skew > 1e-12 * scale:
         raise InputError("matrix is not complex symmetric within tolerance")
 
     x, y = s.real, s.imag

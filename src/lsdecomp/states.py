@@ -53,14 +53,11 @@ class DensityMatrix:
             raise InputError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
-        norm = matcore.frob(mat)
-        if matcore.frob(mat - matcore.dagger(mat)) > matcore.HERM_RTOL * max(1e-300, norm):
-            raise InputError("density matrix is not Hermitian within 1e-12")
+        psd = matcore.is_psd(mat)  # raises InputError first if mat is not Hermitian
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-12:
             raise InputError(f"trace is {tr:.15g}, expected 1 within 1e-12")
-        # the PSD test of matcore.is_psd, on the norm and Hermiticity found above
-        if float(np.linalg.eigvalsh(mat)[0]) < -matcore.PSD_TOL * max(1.0, norm):
+        if not psd:
             raise InputError("density matrix is not PSD within tolerance")
         mat = mat.copy()
         mat.setflags(write=False)

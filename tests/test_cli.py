@@ -750,6 +750,47 @@ def test_verify_rejects_report_numbers_that_overflow_its_checks(capsys, edit):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def _corner_spec(x, y):
+    """A raw 2x2 spec whose 4x4 `re` holds x at [0][3] and y at [3][0]."""
+    re = np.diag([0.5, 0.0, 0.0, 0.5])
+    re[0, 3], re[3, 0] = x, y
+    return json.dumps({"family": "raw", "dims": [2, 2], "re": re.tolist()})
+
+
+OVERFLOW = "matrix contains non-finite entries or its norm overflows a double"
+
+
+@pytest.mark.parametrize("command", ["decompose", "separability", "concurrence", "oracle"])
+@pytest.mark.parametrize("x, y, message", [
+    (1e200, 1e200, OVERFLOW),
+    (1e200, -1e200, OVERFLOW),
+    (1e160, 1e160, OVERFLOW),
+    (8e153, -8e153, "matrix is not Hermitian within 1e-12"),  # only the skew part overflows
+], ids=["symmetric_1e200", "antisymmetric_1e200", "symmetric_1e160", "skew_8e153"])
+def test_raw_matrices_whose_norms_overflow_are_rejected(capsys, command, x, y, message):
+    # a norm of inf made every tolerance scaled by it inf, so any matrix passed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, command, "--input", _corner_spec(x, y))
+    assert (code, out) == (2, "")
+    assert err == f"error (InputError): {message}\n"
+    assert caught == []
+
+
+def test_verify_rejects_a_separable_block_whose_norm_overflows(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+
+    def edit(r):
+        r["separable"]["re"][0][3] = r["separable"]["re"][3][0] = 1e200
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify", "--input", json.dumps(_broken(report, edit)))
+    assert (code, out) == (2, "")
+    assert err == f"error (InputError): {OVERFLOW}\n"
+    assert caught == []
+
+
 @pytest.mark.parametrize("field, edit, shapes", [
     ("entangled", lambda r: r["entangled"].update({"im": [[0.0]]}), ((4, 4), (1, 1))),
     ("separable", lambda r: r["separable"].update({"im": [[0.0] * 4]}), ((4, 4), (1, 4))),

@@ -1,5 +1,7 @@
 """Matrix-algebra layer: PSD square root, kron, partial transpose, Takagi."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,7 +41,7 @@ def test_psd_sqrt_is_hermitian_and_squares_back(n):
 
 
 def test_psd_sqrt_rejects_non_hermitian():
-    with pytest.raises(InputError, match="matrix is not Hermitian within tolerance"):
+    with pytest.raises(InputError, match="matrix is not Hermitian within 1e-12"):
         mc.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):
         mc.psd_sqrt(np.ones((2, 3)))
@@ -66,8 +68,11 @@ def test_as_matrix_keeps_real_input_real():
     ([[1.0, np.inf * 1j]], "matrix contains non-finite entries"),
     (np.array([[1.0, np.inf]], dtype=object), "matrix contains non-finite entries"),
     ([1.0, 2.0], "expected a 2-d matrix, got ndim=1"),
+    # finite entries whose Frobenius norm overflows a double
+    ([[1e200, 1.0], [2.0, 1e200]], "matrix contains non-finite entries or its norm overflows"),
+    ([[1e160j, 0.0], [0.0, 0.5]], "matrix contains non-finite entries or its norm overflows"),
 ], ids=["text", "numeric_text", "object_none", "object_text", "nan", "complex_inf", "object_inf",
-        "ndim"])
+        "ndim", "norm_overflow", "complex_norm_overflow"])
 def test_as_matrix_rejects_with_input_error(a, message):
     with pytest.raises(InputError, match=message):
         mc.as_matrix(a)
@@ -145,6 +150,22 @@ def test_is_psd_cases():
     assert mc.is_psd(np.zeros((3, 3)))
     assert not mc.is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
     assert mc.is_psd(np.diag([1.0, -1e-12]), tol=1e-9)
+
+
+@pytest.mark.parametrize("fn, a, message", [
+    (mc.is_psd, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
+    (mc.psd_sqrt, [[0.5, 1e200], [1e200, 0.5]], "its norm overflows"),
+    (mc.takagi_factorize, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
+    # a finite norm whose skew part's norm overflows
+    (mc.is_psd, [[0.5, 8e153], [-8e153, 0.5]], "matrix is not Hermitian within 1e-12"),
+    (mc.takagi_factorize, [[0.5, 8e153], [-8e153, 0.5]], "not complex symmetric within tolerance"),
+], ids=["is_psd", "psd_sqrt", "takagi", "is_psd_skew", "takagi_skew"])
+def test_checked_functions_reject_matrices_whose_norms_overflow(fn, a, message):
+    # a norm of inf made every tolerance scaled by it inf, so any matrix passed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=message):
+            fn(a)
 
 
 def test_is_psd_werner_partial_transpose():

@@ -287,7 +287,13 @@ def test_build_dispatch_and_raw():
     (np.diag([1.5, -0.5]), (2,), "not PSD within tolerance"),
     (np.full((2, 2), np.nan), (2,), "matrix contains non-finite entries"),
     (np.ones(4) / 4, (4,), "expected a 2-d matrix, got ndim=1"),
-], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim"])
+    # entries whose Frobenius norm overflows a double, Hermitian or not
+    (np.array([[0.5, 1e200], [1e200, 0.5]]), (2,), "its norm overflows a double"),
+    (np.array([[0.5, 1e200], [-1e200, 0.5]]), (2,), "its norm overflows a double"),
+    # a finite norm, but the skew part's norm overflows
+    (np.array([[0.5, 8e153], [-8e153, 0.5]]), (2,), "not Hermitian within 1e-12"),
+], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim", "norm_overflow",
+        "antisymmetric_norm_overflow", "skew_norm_overflow"])
 def test_density_matrix_rejects_with_input_error(mat, dims, message):
     # InputError is also a ValueError, so code that catches ValueError still works
     with pytest.raises(InputError, match=message) as info:

@@ -17,8 +17,12 @@ oracle overshoots the closed form by 6.3e-7, bd23 at [0.5, 0.1, 0.3, 0.1,
 0, 0], which has no closed form, and iso-concurrence at theta =
 1.5577053845612294 with p_1 = 0, overshot by 2.9e-9; then iso-concurrence
 at the edge angles theta = 0.001 and 1.5697963267948966, where the oracle
-search does not converge, and theta = 0.01, overshot by 5.0e-9), and
-malformed decomposition reports.
+search does not converge, and theta = 0.01, overshot by 5.0e-9),
+malformed decomposition reports (the last one has a separable block
+whose Frobenius norm overflows a double), and raw 2x2 matrices with
+entries from 8e153 to 1e200 in the corners of |00><11| and |11><00| (the
+`overflow` group: the norm, or the norm of the skew part, overflows a
+double).
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -35,8 +39,9 @@ Each run prints one tab-separated line:
 Rounding is absolute, and -0.0 counts as 0.0. A number's field is the
 last key before it, so the entries of a report's `re` blocks share the
 field `re`. A crash (an exception escaping `cli.main`) is recorded as exit
-code 1. The output of two checkouts can be diffed line by line, or
-summarized:
+code 1, and each warning as a `warning (<Category>): <message>` line
+appended to the stderr column. The output of two checkouts can be diffed
+line by line, or summarized:
 
     python tools/cli_corpus.py > old.txt            # at the first checkout
     python tools/cli_corpus.py > new.txt            # at the second
@@ -58,6 +63,7 @@ import json
 import math
 import re
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -268,6 +274,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         fn(rep)
         return rep
 
+    def huge_corners(rep):
+        rep["separable"]["re"][0][3] = rep["separable"]["re"][3][0] = 1e200
+
     return [
         ("lambda_null", edit(lambda r: r.update({"lambda": None}))),
         ("lambda_text", edit(lambda r: r.update({"lambda": "abc"}))),
@@ -309,6 +318,8 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("entangled_im_1x1", edit(lambda r: r["entangled"].update({"im": [[0.0]]}))),
         ("separable_im_row", edit(lambda r: r["separable"].update({"im": [[0.0] * 4]}))),
         ("entangled_re_1x1", edit(lambda r: r["entangled"].update({"re": [[0.0]]}))),
+        # a separable block whose Frobenius norm overflows
+        ("separable_corners_1e200", edit(huge_corners)),
     ]
 
 
@@ -317,7 +328,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
 
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:  # argparse
@@ -325,6 +338,8 @@ def run(argv: list[str]) -> tuple[int, str, str]:
         except Exception as exc:  # noqa: BLE001 - a crash is a result too
             code = 1
             err.write(f"crash ({type(exc).__name__}): {exc}\n")
+    for w in caught:
+        err.write(f"warning ({w.category.__name__}): {w.message}\n")
     return code, out.getvalue(), err.getvalue()
 
 
@@ -454,6 +469,12 @@ def run_corpus() -> None:
     # a raw matrix whose `im` part has another shape than its `re` part
     inputs.append(("bad", json.dumps({"family": "raw", "dims": [2, 2],
                                       "re": (np.eye(4) / 4).tolist(), "im": [[0.0]]})))
+    # raw matrices whose norm overflows a double, or whose skew part's norm does
+    for x, y in ((1e200, 1e200), (1e200, -1e200), (1e160, 1e160), (8e153, -8e153)):
+        corners = np.diag([0.5, 0.0, 0.0, 0.5])
+        corners[0, 3], corners[3, 0] = x, y
+        inputs.append(("overflow", json.dumps({"family": "raw", "dims": [2, 2],
+                                               "re": corners.tolist()})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
