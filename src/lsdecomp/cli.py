@@ -77,7 +77,7 @@ def _real_array(field: str, value) -> np.ndarray:
     except (TypeError, ValueError, OverflowError):
         pass
     arr = np.asarray(value, dtype=object)
-    for entry in arr.flat:
+    for entry in arr.ravel():  # arr.flat stops at 32 dimensions
         _decode(field, float, entry)
     return arr.astype(float)
 
@@ -147,12 +147,16 @@ def _read_input(path: str) -> dict:
                 text = fh.read()
         except OSError as exc:
             text, reason = path, exc.strerror
+        except UnicodeDecodeError as exc:
+            raise InputError(f"cannot read input file {path!r}: {exc}") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         if reason is not None and not text.lstrip().startswith(("{", "[", '"')):
             raise InputError(f"cannot read input file {path!r}: {reason}") from None
         raise InputError(f"input is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputError("input is nested too deeply to parse") from None
 
 
 def _checks(check: lsd.VerificationReport) -> dict:
@@ -417,7 +421,9 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         try:
             text = _dump(report)
-        except ValueError:  # NaN or infinity: the stock message names the value
+        except (ValueError, RecursionError):
+            # NaN or infinity, whose stock message names the value, or lists
+            # nested deeper than _dump's two frames per level can reach
             text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
                               default=np.ndarray.tolist)
         sys.stdout.write(text + "\n")

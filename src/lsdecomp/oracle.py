@@ -9,15 +9,16 @@ Three layers:
 * `bsa_search` maximizes that weight over a family of separable candidates
   by solving one small semidefinite program. With y = L x the family's
   problem is linear in y: maximize tr S(y) subject to rho - S(y) >= 0 and
-  the family's region, written as linear rows and stacks of equal-size
-  matrix blocks, each stack factored by one batched eigh (Vandenberghe and
-  Boyd, SIAM Rev. 38, 49, 1996). Every family is a cone of separable
-  generators, the one-parameter families the mixtures of the two end
-  states of their separable range (one routine, `_line_family`, read
-  from their rows of `states.FAMILIES`). Its optimum is the family-restricted
-  best separable approximation (Lewenstein and Sanpera, PRL 80, 2261,
-  1998). A damped-Newton log-barrier method solves it deterministically
-  from the all-ones point to a duality gap of tol/1000, but not below 1e-12.
+  the family's region, which the family holds in the solver's form: linear
+  rows and cone stacks, each stack matrix blocks of one size, any size,
+  factored by one batched eigh (Vandenberghe and Boyd, SIAM Rev. 38, 49,
+  1996). Every family is a cone of separable generators, the one-parameter
+  families the mixtures of the two end states of their separable range
+  (one routine, `_line_family`, read from their rows of `states.FAMILIES`).
+  Its optimum is the family-restricted best separable approximation
+  (Lewenstein and Sanpera, PRL 80, 2261, 1998). A damped-Newton log-barrier
+  method solves it deterministically from the all-ones point to a duality
+  gap of tol/1000, but not below 1e-12.
 * `bsa_as_sdp` / `duality_check` phrase the fixed-candidate problem as a
   one-constraint linear matrix inequality and certify an optimum through a
   kernel-supported dual matrix: zero duality gap and complementary slackness
@@ -116,16 +117,15 @@ class SeparableFamily:
 
     A point y of the cone stands for S(y) = sum_k y_k gens[k]; the candidate
     state is S(y) / tr S(y) and its weight inside rho is tr S(y). The cone is
-    cut out by the linear rows `rows @ y >= 0` and by the 2x2 blocks
-    `blocks @ y >= 0` (PSD), and the all-ones point lies strictly inside it.
-    The search takes the blocks as one stack of equal-size blocks.
+    cut out by the linear rows `rows @ y >= 0` and by every block j of every
+    stack fk in `cones`: sum_k y_k fk[k, j] >= 0 (PSD). The all-ones point
+    lies strictly inside it.
     """
 
     name: str
-    dims: tuple[int, ...]
     gens: np.ndarray  # (m, n, n) Hermitian generators
     rows: np.ndarray  # (r, m)
-    blocks: np.ndarray  # (b, 2, 2, m)
+    cones: tuple[np.ndarray, ...]  # stacks fk of shape (m, b, k, k), k per stack
 
     def sigma(self, y: np.ndarray) -> np.ndarray:
         mat = np.tensordot(np.asarray(y, dtype=float), self.gens, axes=1)
@@ -146,19 +146,16 @@ def _half_rows(m: int) -> np.ndarray:
     return np.vstack([np.eye(m), np.ones((m, m)) - 2.0 * np.eye(m)])
 
 
-def _cone_family(name, dims, gens, rows, blocks=()) -> SeparableFamily:
-    gens = np.asarray(gens)
-    return SeparableFamily(
-        name=name,
-        dims=dims,
-        gens=gens,
-        rows=np.asarray(rows, dtype=float),
-        blocks=np.asarray(blocks, dtype=float).reshape(-1, 2, 2, gens.shape[0]),
-    )
+def _cone_family(name, gens, rows, blocks=()) -> SeparableFamily:
+    """A family whose 2x2 `_block`s, if any, form one cone stack. The stack
+    is a view: a contiguous copy can take the batched matmul down another
+    kernel, and so change the search's rounding."""
+    cones = (np.moveaxis(np.asarray(blocks, dtype=float), -1, 0),) if blocks else ()
+    return SeparableFamily(name, np.asarray(gens), np.asarray(rows, dtype=float), cones)
 
 
 def bd22_family() -> SeparableFamily:
-    return _cone_family("bd22", (2, 2), _projectors(bell_basis_22()), _half_rows(4))
+    return _cone_family("bd22", _projectors(bell_basis_22()), _half_rows(4))
 
 
 def icd_family(theta: float) -> SeparableFamily:
@@ -173,7 +170,7 @@ def icd_family(theta: float) -> SeparableFamily:
         _block([1, -1, u, u], [0, 0, c, -c], [-1, 1, u, u]),
         _block([u, u, 1, -1], [c, -c, 0, 0], [u, u, -1, 1]),
     )
-    return _cone_family("icd", (2, 2), _projectors(iso_basis(theta)), np.eye(4), blocks)
+    return _cone_family("icd", _projectors(iso_basis(theta)), np.eye(4), blocks)
 
 
 def bd23_family() -> SeparableFamily:
@@ -183,7 +180,7 @@ def bd23_family() -> SeparableFamily:
         _block([0, 0, 0, 0, 1, 1], [0, 0, 1, -1, 0, 0], [1, 1, 0, 0, 0, 0]),
         _block([1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, -1], [0, 0, 1, 1, 0, 0]),
     )
-    return _cone_family("bd23", (2, 3), _projectors(bell_basis_23()), np.eye(6), blocks)
+    return _cone_family("bd23", _projectors(bell_basis_23()), np.eye(6), blocks)
 
 
 def wootters_family(rho: DensityMatrix) -> SeparableFamily:
@@ -205,11 +202,11 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
         flip = flip.sum(axis=0, keepdims=True)[:m // 2]
     gens = np.concatenate([flip, _projectors(wd.product_vectors)])
     if not len(gens):
-        return _cone_family("wootters", (2, 2), np.eye(4)[None] / 4.0, np.eye(1))
+        return _cone_family("wootters", np.eye(4)[None] / 4.0, np.eye(1))
     rows = np.eye(len(gens))
     if m > 2:  # and no flip weight exceeds half the flip total
         rows = np.vstack([rows, np.pad(_half_rows(m)[m:], ((0, 0), (0, len(gens) - m)))])
-    return _cone_family("wootters", (2, 2), gens, rows)
+    return _cone_family("wootters", gens, rows)
 
 
 def _line_family(spec: type, *sizes) -> SeparableFamily:
@@ -222,7 +219,7 @@ def _line_family(spec: type, *sizes) -> SeparableFamily:
     num, den = line.threshold(*sizes)
     near = separability.line_state(spec, *sizes, num / den)
     ends = [far.mat, near.mat] if line.far < line.end else [near.mat, far.mat]
-    return _cone_family(fam.name, far.dims, ends, np.eye(2))
+    return _cone_family(fam.name, ends, np.eye(2))
 
 
 werner_family = partial(_line_family, Werner)
@@ -271,29 +268,6 @@ def _commuting_rows(f0: np.ndarray, fk: np.ndarray):
     if np.abs(off).max() > COMMUTE_TOL:
         return None
     return diag[0].real, diag[1:].T.real
-
-
-def _lmi(rho_mat: np.ndarray, shift: float, fam: SeparableFamily):
-    """The problem as linear rows a0 + A y >= 0 and stacks of matrix
-    inequalities f0[j] + sum_k y_k fk[k, j] >= 0, each stack a list of
-    blocks of one size n: f0 of shape (b, n, n) and fk of shape (m, b, n, n).
-
-    The state constraint rho + shift*I - S(y) >= 0 becomes linear rows when
-    rho and the generators commute, and a stack of one N x N block
-    otherwise; the region's rows follow, and its 2x2 blocks are one stack.
-    Returns (a0, A) and the list of stacks (f0, fk).
-    """
-    m = fam.gens.shape[0]
-    state = rho_mat + shift * np.eye(rho_mat.shape[0])
-    rows = _commuting_rows(state, -fam.gens)
-    stacks = []
-    if rows is None:
-        rows = (np.zeros(0), np.zeros((0, m)))
-        stacks.append((state[None], -fam.gens[:, None]))
-    if len(fam.blocks):
-        stacks.append((np.zeros(fam.blocks.shape[:3]), np.moveaxis(fam.blocks, -1, 0)))
-    a0 = np.concatenate([rows[0], np.zeros(fam.rows.shape[0])])
-    return (a0, np.vstack([rows[1], fam.rows])), stacks
 
 
 def _line_search(mus: list[float], slope: float) -> float:
@@ -426,25 +400,35 @@ def bsa_search(
     accepted and not used. Returns the weight tr S(y) and the maximizing
     candidate S(y) / tr S(y). Raises NoConvergence when the solver fails.
     """
-    if family.gens.shape[1] != rho.mat.shape[0]:
-        raise InputError(f"family size {family.gens.shape[1]} != state size {rho.mat.shape[0]}")
-    c = np.real(np.trace(family.gens, axis1=1, axis2=2))
+    gens = family.gens
+    if gens.shape[1] != rho.mat.shape[0]:
+        raise InputError(f"family size {gens.shape[1]} != state size {rho.mat.shape[0]}")
+    c = np.real(np.trace(gens, axis1=1, axis2=2))
     try:
         # shift rho by EPS past its smallest eigenvalue, then scale the start
         # to half its largest step inside the shifted state
         evals, vecs = np.linalg.eigh(rho.mat)
         shift = EPS + max(0.0, -float(evals[0]))
         r = vecs / np.sqrt(evals + shift)
-        start = np.ones(family.gens.shape[0])
-        s0 = np.tensordot(start, family.gens, axes=1)
+        start = np.ones(gens.shape[0])
+        s0 = np.tensordot(start, gens, axes=1)
         top = float(np.linalg.eigvalsh(r.conj().T @ s0 @ r)[-1])
-        lin, stacks = _lmi(rho.mat, shift, family)
+        # the state constraint rho + shift*I - S(y) >= 0: linear rows when
+        # rho and the generators commute, else one N x N block; then the
+        # family's rows and its cone stacks
+        state = rho.mat + shift * np.eye(len(evals))
+        rows, stacks = _commuting_rows(state, -gens), []
+        if rows is None:
+            rows, stacks = (np.zeros(0), np.zeros((0, len(gens)))), [(state[None], -gens[:, None])]
+        a0 = np.concatenate([rows[0], np.zeros(len(family.rows))])
+        lin = a0, np.vstack([rows[1], family.rows])
+        stacks += [(np.zeros(fk.shape[1:]), fk) for fk in family.cones]
         gap = max(tol / 1000.0, MIN_GAP)
         y = _barrier_max(lin, stacks, c, start * (0.5 / top), gap)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"barrier search failed: {exc}") from exc
     lam = float(c @ y)
-    return lam, DensityMatrix(family.sigma(y), family.dims)
+    return lam, DensityMatrix(family.sigma(y), rho.dims)
 
 
 # --------------------------------------------------------------------------

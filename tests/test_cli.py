@@ -813,6 +813,55 @@ def test_raw_spec_rejects_an_im_of_another_shape_than_re(capsys):
                    "'re' has shape (4, 4) and 'im' has shape (1, 1)\n")
 
 
+def _nested(value, depth):
+    """`value` inside `depth` lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("command",
+                         ["decompose", "separability", "concurrence", "oracle", "verify"])
+def test_input_nested_too_deeply_for_the_json_reader_exits_2(capsys, command):
+    code, out, err = run_cli(capsys, command, "--input", "[" * 100000)
+    assert (code, out, err) == (2, "", "error (InputError): input is nested too deeply to parse\n")
+
+
+@pytest.mark.parametrize("command", ["decompose", "separability", "concurrence", "oracle"])
+def test_raw_matrix_of_more_than_32_dimensions_exits_2(capsys, command):
+    # numpy's flat iterator stops at 32 dimensions
+    spec = {"family": "raw", "dims": [2, 2], "re": _nested(1.0, 40)}
+    code, out, err = run_cli(capsys, command, "--input", json.dumps(spec))
+    assert (code, out, err) == (2, "", "error (InputError): expected a 2-d matrix, got ndim=40\n")
+
+
+def test_verify_rejects_a_separable_block_of_more_than_32_dimensions(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    report["separable"]["re"] = _nested(1.0, 40)
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert (code, out) == (2, "")
+    assert err == ("error (InputError): malformed report field 'separable': "
+                   f"'re' has shape {(1,) * 40} and 'im' has shape (4, 4)\n")
+
+
+def test_verify_echoes_an_input_nested_deeper_than_the_writer_recurses(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    report["input"]["note"] = _nested([], 600)  # ignored by the parser, echoed by verify
+    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"] == report["input"]
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_an_input_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(capsys, "decompose", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == (f"error (InputError): cannot read input file {str(path)!r}: 'utf-8' codec "
+                   "can't decode byte 0xff in position 0: invalid start byte\n")
+
+
 @pytest.mark.parametrize("spec, field", [
     ({"family": "werner", "d": 2, "f": float("nan")}, "f"),
     ({"family": "bd22", "p": [float("inf"), 0, 0, 0]}, "p"),

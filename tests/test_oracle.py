@@ -259,7 +259,7 @@ def _psd2(case):
         u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         gens, rho = u @ gens @ u.conj().T, u @ rho @ u.conj().T
     fam = orc.SeparableFamily(
-        name="psd2", dims=dims, gens=gens, rows=np.zeros((0, 3)), blocks=region[None],
+        name="psd2", gens=gens, rows=np.zeros((0, 3)), cones=(np.moveaxis(region[None], -1, 0),),
     )
     return st.DensityMatrix(rho, dims), fam, weight
 
@@ -269,6 +269,29 @@ def test_search_reads_matrix_blocks_in_their_own_coordinates(case):
     rho, fam, weight = _psd2(case)
     lam, _ = orc.bsa_search(rho, fam, tol=1e-9)
     assert lam == pytest.approx(weight, abs=1e-9)
+
+
+# the coefficient matrices of y1, y2 and y3: the binding cone
+# [[y2, y1 - y3], [y1 - y3, y3]] >= 0, and slack cones that hold at its optimum
+BINDING = np.array([[[0, 1], [1, 0]], [[1, 0], [0, 0]], [[0, -1], [-1, 1]]], dtype=float)
+SLACK2 = np.array([[[1, 1], [1, 1]], [[1, -1], [-1, 1]], [[1, 0], [0, 1]]], dtype=float)
+SLACK3 = np.array([
+    [[1, 1, 0], [1, 1, -1], [0, -1, 1]],  # y1 - y2 at (0, 1), y3 - y1 at (1, 2)
+    [[1, -1, 0], [-1, 1, 0], [0, 0, 1]],
+    [[1, 0, 0], [0, 1, 1], [0, 1, 1]],
+], dtype=float)
+BINDING3 = np.pad(BINDING, ((0, 0), (0, 1), (0, 1)))
+BINDING3[0, 2, 2] = 1.0  # y1 at (2, 2)
+
+
+@pytest.mark.parametrize("cones", [(BINDING, SLACK3), (BINDING3, SLACK2)], ids=["2+3", "3+2"])
+def test_search_reads_cone_stacks_of_two_sizes(cones):
+    # diagonal generators on C^3 below rho = diag(0.5, 0.3, 0.2): y2 and y3
+    # reach rho, and the binding cone stops y1 at y3 + sqrt(y2 y3)
+    gens = np.array([np.diag(row) for row in np.eye(3)])
+    fam = orc.SeparableFamily("two_sizes", gens, np.eye(3), tuple(c[:, None] for c in cones))
+    lam, _ = orc.bsa_search(st.DensityMatrix(np.diag([0.5, 0.3, 0.2]), (3,)), fam, tol=1e-9)
+    assert lam == pytest.approx(0.7 + math.sqrt(0.06), abs=1e-9)
 
 
 def test_search_backtracks_when_a_matrix_block_fails_to_factor(monkeypatch):
@@ -317,7 +340,7 @@ def test_search_separable_state_reaches_one():
 def test_one_parameter_family_spans_its_separable_end_states(ends):
     # each end state is separable, and the family's two generators are them
     fam = orc.family_for_spec(ends[0])
-    assert fam.gens.shape[0] == 2 and fam.blocks.shape[0] == 0
+    assert fam.gens.shape[0] == 2 and fam.cones == ()
     for spec, gen in zip(ends, fam.gens):
         assert orc.separability.family_region(spec).status == "separable"
         assert np.allclose(gen, st.build(spec).mat, atol=1e-15)

@@ -18,11 +18,15 @@ oracle overshoots the closed form by 6.3e-7, bd23 at [0.5, 0.1, 0.3, 0.1,
 1.5577053845612294 with p_1 = 0, overshot by 2.9e-9; then iso-concurrence
 at the edge angles theta = 0.001 and 1.5697963267948966, where the oracle
 search does not converge, and theta = 0.01, overshot by 5.0e-9),
-malformed decomposition reports (the last one has a separable block
-whose Frobenius norm overflows a double), and raw 2x2 matrices with
-entries from 8e153 to 1e200 in the corners of |00><11| and |11><00| (the
-`overflow` group: the norm, or the norm of the skew part, overflows a
-double).
+malformed decomposition reports (among the last ones a separable block
+whose Frobenius norm overflows a double, `separable_re_40_deep`, whose
+`re` block is 1.0 inside 40 lists, and `input_note_600_deep`, whose input
+carries an extra key holding lists nested 600 deep, which verify echoes),
+raw 2x2 matrices with entries from 8e153 to 1e200 in the corners of
+|00><11| and |11><00| (the `overflow` group: the norm, or the norm of the
+skew part, overflows a double), and inputs nested deeper than the JSON
+reader or numpy reaches (the `nesting` group: 100000 open brackets, and a
+raw spec whose `re` is 1.0 inside 40 lists).
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -97,6 +101,13 @@ SHOWN = 20  # changed runs listed per kind by --compare
 
 def _floats(values) -> list[float]:
     return [float(v) for v in values]
+
+
+def _nested(value, depth: int):
+    """`value` inside `depth` lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def _raw(rng: np.random.Generator, dims: tuple[int, int], rank: int) -> dict:
@@ -320,6 +331,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         ("entangled_re_1x1", edit(lambda r: r["entangled"].update({"re": [[0.0]]}))),
         # a separable block whose Frobenius norm overflows
         ("separable_corners_1e200", edit(huge_corners)),
+        # nesting beyond numpy's flat iterator, and beyond the report writer's recursion
+        ("separable_re_40_deep", edit(lambda r: r["separable"].update({"re": _nested(1.0, 40)}))),
+        ("input_note_600_deep", edit(lambda r: r["input"].update({"note": _nested([], 599)}))),
     ]
 
 
@@ -475,6 +489,10 @@ def run_corpus() -> None:
         corners[0, 3], corners[3, 0] = x, y
         inputs.append(("overflow", json.dumps({"family": "raw", "dims": [2, 2],
                                                "re": corners.tolist()})))
+    # nesting deeper than the JSON reader recurses, and than numpy's flat
+    # iterator reaches (32 dimensions)
+    inputs += [("nesting", "[" * 100000),
+               ("nesting", json.dumps({"family": "raw", "dims": [2, 2], "re": _nested(1.0, 40)}))]
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
