@@ -16,7 +16,6 @@ from .oracle import (
     bsa_search,
     duality_check,
     family_for_spec,
-    lambda_max_bisect,
     lambda_max_fixed,
 )
 from .separability import SeparabilityVerdict, family_region, ppt_check
@@ -64,7 +63,6 @@ __all__ = [
     "duality_check",
     "family_for_spec",
     "family_region",
-    "lambda_max_bisect",
     "lambda_max_fixed",
     "ppt_check",
     "verify",

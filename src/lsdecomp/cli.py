@@ -424,8 +424,11 @@ def _emit(report: dict, fmt: str) -> None:
         except (ValueError, RecursionError):
             # NaN or infinity, whose stock message names the value, or lists
             # nested deeper than _dump's two frames per level can reach
-            text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                              default=np.ndarray.tolist)
+            try:
+                text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
+                                  default=np.ndarray.tolist)
+            except ValueError as exc:
+                raise InputError(str(exc)) from exc
         sys.stdout.write(text + "\n")
         return
     _emit_text(report, indent="")

@@ -12,15 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError, NoConvergence, NumericalError
+from .errors import InputError, NoConvergence
 
 HERM_RTOL = 1e-12
 PSD_TOL = 1e-9
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PAULI = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -87,16 +84,6 @@ def is_psd(a, tol: float = PSD_TOL) -> bool:
     """True iff the Hermitian matrix has min eigenvalue >= -tol*max(1, ||A||_F)."""
     a, norm = _require_square_hermitian(a)
     return float(np.linalg.eigvalsh(a)[0]) >= -tol * max(1.0, norm)
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Principal square root of a PSD matrix (negative noise clipped to 0)."""
-    a, norm = _require_square_hermitian(a)
-    w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_TOL * max(1.0, norm):
-        raise NumericalError(f"matrix has eigenvalue {w[0]:.3e} below -tol")
-    out = (v * np.sqrt(np.maximum(w, 0.0))) @ dagger(v)
-    return 0.5 * (out + dagger(out))
 
 
 def swap_operator(d: int) -> np.ndarray:

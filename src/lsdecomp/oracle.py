@@ -2,10 +2,9 @@
 
 Three layers:
 
-* `lambda_max_fixed` / `lambda_max_bisect` compute the largest weight L with
-  rho - L sigma PSD for a fixed separable candidate, once analytically (top
-  eigenvalue of rho^(-1/2) sigma rho^(-1/2) on the support) and once by pure
-  feasibility bisection.
+* `lambda_max_fixed` computes the largest weight L with rho - L sigma PSD
+  for a fixed separable candidate, analytically: the inverse of the top
+  eigenvalue of rho^(-1/2) sigma rho^(-1/2) on the support of rho.
 * `bsa_search` maximizes that weight over a family of separable candidates
   by solving one small semidefinite program. With y = L x the family's
   problem is linear in y: maximize tr S(y) subject to rho - S(y) >= 0 and
@@ -85,27 +84,6 @@ def lambda_max_fixed(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         return 0.0
     scale = 1.0 / np.sqrt(w[keep])
     return 1.0 / float(np.linalg.eigvalsh(scale[:, None] * inside * scale)[-1])
-
-
-def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-9) -> float:
-    """Same weight by bisection on L in [0, 1] using only PSD feasibility.
-
-    Unit traces force L <= 1. The PSD slack inside the bisection is kept well
-    below `tol` so the two routes agree to `tol`.
-    """
-    if rho.mat.shape != sigma.mat.shape:
-        raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
-    psd_tol = min(1e-12, tol * 1e-3)
-    if matcore.is_psd(rho.mat - sigma.mat, psd_tol):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if matcore.is_psd(rho.mat - mid * sigma.mat, psd_tol):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 # --------------------------------------------------------------------------

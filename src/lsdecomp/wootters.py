@@ -9,9 +9,8 @@ The lam_i are computed as the Takagi singular values of the spin-flip overlap
 matrix tau_ij = <v_i|v~_j> built on the support of rho. This has the same
 spectrum as sqrt(rho rho~) but is accurate additively: squaring-then-rooting
 (eigenvalues of the Hermitian proxy sqrt(rho) rho~ sqrt(rho)) loses half the
-digits near zero, which is visible on pure states. The proxy is kept as
-`lambdas_via_proxy` for cross-checks. Neither route needs a non-Hermitian
-eigensolver.
+digits near zero, which is visible on pure states. Neither route needs a
+non-Hermitian eigensolver.
 """
 
 from __future__ import annotations
@@ -32,12 +31,6 @@ SUPPORT_CUT = 1e-12
 def _require_two_qubits(rho: DensityMatrix) -> None:
     if tuple(rho.dims) != (2, 2):
         raise InputError(f"expected dims (2, 2), got {rho.dims}")
-
-
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """rho~ = (sy (x) sy) rho* (sy (x) sy); Hermitian, PSD, trace 1."""
-    _require_two_qubits(rho)
-    return _YY @ rho.mat.conj() @ _YY
 
 
 def _support_vectors(rho: DensityMatrix) -> np.ndarray:
@@ -64,19 +57,6 @@ def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
     out = np.zeros(4)
     out[: d.shape[0]] = d
     return out
-
-
-def lambdas_via_proxy(rho: DensityMatrix) -> np.ndarray:
-    """Same spectrum through sqrt(rho) rho~ sqrt(rho); cross-check route only.
-
-    Accuracy near zero is ~sqrt(eps) because eigenvalues of the proxy are
-    lam_i**2.
-    """
-    _require_two_qubits(rho)
-    root = matcore.psd_sqrt(rho.mat)
-    m = root @ spin_flip(rho) @ root
-    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    return np.sqrt(np.clip(w, 0.0, None))[::-1]
 
 
 def concurrence(rho: DensityMatrix) -> float:

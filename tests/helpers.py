@@ -1,10 +1,11 @@
-"""Shared samplers and small utilities for the test suite."""
+"""Shared samplers, small utilities and reference routes for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from lsdecomp import lsd, separability, wootters
+from lsdecomp import lsd, matcore, separability, wootters
+from lsdecomp.errors import InputError
 from lsdecomp.states import DensityMatrix, make_bd22, make_bd23, make_icd
 
 
@@ -86,3 +87,40 @@ def zero_flip_states() -> dict[str, tuple[np.ndarray, float]]:
         "rank3": (0.5 * phi_plus + 0.2 * phi_minus + 0.3 * ket01, 0.7),
         "one_flip": (0.6 * phi_plus + 0.4 * ket01, 0.4),
     }
+
+
+def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-9) -> float:
+    """Same weight as `oracle.lambda_max_fixed`, by bisection on L in [0, 1]
+    using only PSD feasibility.
+
+    Unit traces force L <= 1. The PSD slack inside the bisection is kept well
+    below `tol` so the two routes agree to `tol`.
+    """
+    if rho.mat.shape != sigma.mat.shape:
+        raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
+    psd_tol = min(1e-12, tol * 1e-3)
+    if matcore.is_psd(rho.mat - sigma.mat, psd_tol):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if matcore.is_psd(rho.mat - mid * sigma.mat, psd_tol):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def lambdas_via_proxy(rho: DensityMatrix) -> np.ndarray:
+    """The spectrum of `wootters.wootters_lambdas` through the Hermitian proxy
+    sqrt(rho) rho~ sqrt(rho), with rho~ = (sy (x) sy) rho* (sy (x) sy).
+
+    Accuracy near zero is ~sqrt(eps) because eigenvalues of the proxy are
+    lam_i**2.
+    """
+    yy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+    w, v = np.linalg.eigh(rho.mat)
+    root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    m = root @ yy @ rho.mat.conj() @ yy @ root
+    w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+    return np.sqrt(np.clip(w, 0.0, None))[::-1]

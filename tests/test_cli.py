@@ -703,12 +703,14 @@ def test_a_decompose_and_verify_round_trip_does_not_import_numpy_ma():
     assert done.stdout == "False\n"
 
 
-def test_non_finite_value_in_an_echoed_input_keeps_the_stock_message(capsys):
+def test_non_finite_value_in_an_echoed_input_is_an_input_error(capsys):
     report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
-    report["input"]["note"] = float("nan")  # ignored by the parser, echoed by verify
-    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
-    assert code == 2 and out == ""
-    assert err == "error (ValueError): Out of range float values are not JSON compliant: nan\n"
+    for value, shown in ((float("nan"), "nan"), (float("inf"), "inf")):
+        report["input"]["note"] = value  # ignored by the parser, echoed by verify
+        text = json.dumps(report)  # writes NaN and Infinity
+        code, out, err = run_cli(capsys, "verify", "--input", text)
+        assert code == 2 and out == ""
+        assert err == f"error (InputError): Out of range float values are not JSON compliant: {shown}\n"
 
 
 @pytest.mark.parametrize("field, edit, value", [

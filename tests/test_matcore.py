@@ -1,4 +1,4 @@
-"""Matrix-algebra layer: PSD square root, kron, partial transpose, Takagi."""
+"""Matrix-algebra layer: matrix coercion, kron, partial transpose, the PSD test, Takagi."""
 
 import warnings
 
@@ -6,45 +6,16 @@ import numpy as np
 import pytest
 
 from lsdecomp import matcore as mc
-from lsdecomp.errors import InputError, NumericalError
+from lsdecomp.errors import InputError
 
 from helpers import random_hermitian, random_unitary
 
 
-def test_psd_sqrt_identity():
-    for n in (2, 3, 8):
-        assert np.allclose(mc.psd_sqrt(np.eye(n)), np.eye(n), rtol=0.0, atol=1e-15)
-
-
-def test_psd_sqrt_diagonal_clips_negative_noise():
-    root = mc.psd_sqrt(np.diag([9.0, -1e-12, 4.0]))
-    assert np.allclose(root, np.diag([3.0, 0.0, 2.0]), rtol=0.0, atol=1e-15)
-
-
-def test_psd_sqrt_rejects_negative_eigenvalue():
-    with pytest.raises(NumericalError, match=r"matrix has eigenvalue -1\.000e\+00 below -tol"):
-        mc.psd_sqrt(mc.SIGMA_Y)
-    with pytest.raises(NumericalError, match="below -tol"):
-        mc.psd_sqrt(np.diag([1.0, -2e-9]))
-    assert np.allclose(mc.psd_sqrt(np.diag([1.0, -5e-10])), np.diag([1.0, 0.0]))
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
-def test_psd_sqrt_is_hermitian_and_squares_back(n):
-    rng = np.random.default_rng(n)
-    for rank in (n, n - 1, 1):
-        g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
-        a = g @ g.conj().T
-        root = mc.psd_sqrt(a)
-        assert np.array_equal(root, root.conj().T)
-        assert np.linalg.norm(root @ root - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
-
-
 def test_psd_sqrt_rejects_non_hermitian():
     with pytest.raises(InputError, match="matrix is not Hermitian within 1e-12"):
-        mc.psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        mc.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):
-        mc.psd_sqrt(np.ones((2, 3)))
+        mc.is_psd(np.ones((2, 3)))
 
 
 def test_as_matrix_keeps_real_input_real():
@@ -83,7 +54,8 @@ def test_kron_identity():
 
 
 def test_kron_sigma_z_pair():
-    assert np.allclose(mc.kron(mc.SIGMA_Z, mc.SIGMA_Z), np.diag([1.0, -1.0, -1.0, 1.0]))
+    sigma_z = np.diag([1.0, -1.0])
+    assert np.allclose(mc.kron(sigma_z, sigma_z), np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_kron_associative_and_bilinear():
@@ -154,12 +126,11 @@ def test_is_psd_cases():
 
 @pytest.mark.parametrize("fn, a, message", [
     (mc.is_psd, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
-    (mc.psd_sqrt, [[0.5, 1e200], [1e200, 0.5]], "its norm overflows"),
     (mc.takagi_factorize, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
     # a finite norm whose skew part's norm overflows
     (mc.is_psd, [[0.5, 8e153], [-8e153, 0.5]], "matrix is not Hermitian within 1e-12"),
     (mc.takagi_factorize, [[0.5, 8e153], [-8e153, 0.5]], "not complex symmetric within tolerance"),
-], ids=["is_psd", "psd_sqrt", "takagi", "is_psd_skew", "takagi_skew"])
+], ids=["is_psd", "takagi", "is_psd_skew", "takagi_skew"])
 def test_checked_functions_reject_matrices_whose_norms_overflow(fn, a, message):
     # a norm of inf made every tolerance scaled by it inf, so any matrix passed
     with warnings.catch_warnings():

@@ -18,6 +18,7 @@ from lsdecomp.errors import (
 
 from helpers import (
     ginibre_state,
+    lambda_max_bisect,
     random_unitary,
     sample_entangled_2q,
     sample_entangled_bd22,
@@ -56,7 +57,7 @@ def test_fixed_weight_full_rank_with_a_small_eigenvalue():
         w[0] = 1e-8
         rho = st.DensityMatrix((u * (w / w.sum())) @ u.conj().T, (2, 2))
         sigma = ginibre_state(rng, 4, (2, 2))
-        exact = orc.lambda_max_bisect(rho, sigma, 1e-10)
+        exact = lambda_max_bisect(rho, sigma, 1e-10)
         assert abs(orc.lambda_max_fixed(rho, sigma) - exact) <= 1e-9
 
 
@@ -65,7 +66,7 @@ def test_fixed_weight_dimension_check():
         orc.lambda_max_fixed(st.make_bd22([0.25] * 4), st.make_bd23([1 / 6.0] * 6))
 
 
-@pytest.mark.parametrize("check", [orc.lambda_max_bisect, orc.bsa_as_sdp],
+@pytest.mark.parametrize("check", [lambda_max_bisect, orc.bsa_as_sdp],
                          ids=["lambda_max_bisect", "bsa_as_sdp"])
 def test_fixed_candidate_size_checks(check):
     with pytest.raises(InputError, match=r"state sizes differ: \(4, 4\) vs \(6, 6\)"):
@@ -80,10 +81,10 @@ def test_search_rejects_a_family_of_another_size():
 def test_bisect_matches_fixed_on_spots():
     rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
     sigma = st.make_bd22([0.5, 1 / 6, 1 / 6, 1 / 6])
-    assert orc.lambda_max_bisect(rho, sigma, 1e-9) == pytest.approx(0.6, abs=1e-8)
-    assert orc.lambda_max_bisect(rho, rho, 1e-9) == pytest.approx(1.0, abs=1e-9)
+    assert lambda_max_bisect(rho, sigma, 1e-9) == pytest.approx(0.6, abs=1e-8)
+    assert lambda_max_bisect(rho, rho, 1e-9) == pytest.approx(1.0, abs=1e-9)
     # Werner: weight of the f'=0 state inside f=-0.5 is 0.5
-    assert orc.lambda_max_bisect(
+    assert lambda_max_bisect(
         st.make_werner(2, -0.5), st.make_werner(2, 0.0), 1e-9
     ) == pytest.approx(0.5, abs=1e-8)
 
@@ -96,7 +97,7 @@ def test_bisect_agrees_with_fixed_random(dims):
         rho = ginibre_state(rng, n, dims)
         sigma = ginibre_state(rng, n, dims)
         a = orc.lambda_max_fixed(rho, sigma)
-        b = orc.lambda_max_bisect(rho, sigma, 1e-9)
+        b = lambda_max_bisect(rho, sigma, 1e-9)
         assert abs(a - b) <= 1e-8
 
 
@@ -192,6 +193,21 @@ def test_search_reaches_optimum_at_small_weights(spec):
     lam, sigma = orc.bsa_search(rho, orc.family_for_spec(spec))
     assert abs(lam - lsd.decompose(spec).lam) <= 1e-9
     assert np.linalg.eigvalsh(rho.mat - lam * sigma.mat)[0] >= -1e-9
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, NoConvergence), reason="ROADMAP F3")
+@pytest.mark.parametrize("spec", [
+    # a region block of the family is nearly singular at the optimum
+    st.BD23(p=(0.8, 0.0, 0.1, 0.1, 0.0, 0.0)),
+    st.ICD(theta=1.5577053845612294,
+           p=(0.0, 0.11459899488910194, 0.15087455547844814, 0.73452644963245)),
+    st.ICD(theta=0.01, p=(0.2, 0.0, 0.05, 0.75)),
+    st.ICD(theta=0.001, p=(0.2, 0.0, 0.05, 0.75)),
+    st.ICD(theta=1.5697963267948966, p=(0.0001, 0.6365, 0.0, 0.3634)),
+], ids=["bd23", "icd_p1_zero", "icd_theta_0.01", "icd_theta_0.001", "icd_theta_edge"])
+def test_search_reaches_optimum_where_a_region_block_is_singular(spec):
+    lam, _ = orc.bsa_search(st.build(spec), orc.family_for_spec(spec))
+    assert abs(lam - lsd.decompose(spec).lam) <= 1e-9
 
 
 def test_search_icd_near_zero_weights():

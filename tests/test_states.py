@@ -14,6 +14,8 @@ from lsdecomp.errors import InputError
 
 from helpers import random_unitary
 
+PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+
 
 def assert_density(dm: st.DensityMatrix):
     assert abs(np.trace(dm.mat) - 1.0) <= 1e-12
@@ -50,7 +52,7 @@ def test_bd22_matches_pauli_expansion():
         t = st.bd22_correlation(p)
         expansion = np.eye(4, dtype=complex)
         for i in range(3):
-            expansion = expansion + t[i] * mc.kron(mc.PAULI[i], mc.PAULI[i])
+            expansion = expansion + t[i] * mc.kron(PAULI[i], PAULI[i])
         assert np.linalg.norm(st.make_bd22(p).mat - expansion / 4.0) <= 1e-12
 
 

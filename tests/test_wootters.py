@@ -6,37 +6,14 @@ import pytest
 from lsdecomp import matcore as mc
 from lsdecomp import states as st
 from lsdecomp import wootters as wo
-from lsdecomp.errors import InputError
 
-from helpers import ginibre_state, random_unitary
+from helpers import ginibre_state, lambdas_via_proxy, random_unitary
 
 
 def pure_two_qubit(theta: float) -> st.DensityMatrix:
     v = np.zeros(4, dtype=complex)
     v[0], v[3] = np.cos(theta), np.sin(theta)
     return st.DensityMatrix(np.outer(v, v.conj()), (2, 2))
-
-
-def test_spin_flip_fixed_points():
-    singlet = st.make_bd22([0, 0, 0, 1])
-    assert np.linalg.norm(wo.spin_flip(singlet) - singlet.mat) <= 1e-14
-    mixed = st.make_bd22([0.25] * 4)
-    assert np.linalg.norm(wo.spin_flip(mixed) - mixed.mat) <= 1e-14
-
-
-def test_spin_flip_maps_00_to_11():
-    v = np.zeros(4, dtype=complex)
-    v[0] = 1.0
-    rho = st.DensityMatrix(np.outer(v, v.conj()), (2, 2))
-    out = wo.spin_flip(rho)
-    expect = np.zeros((4, 4), dtype=complex)
-    expect[3, 3] = 1.0
-    assert np.linalg.norm(out - expect) <= 1e-14
-
-
-def test_spin_flip_requires_two_qubits():
-    with pytest.raises(InputError, match=r"expected dims \(2, 2\), got \(2, 3\)"):
-        wo.spin_flip(st.make_bd23([1 / 6.0] * 6))
 
 
 def test_lambdas_pure_state():
@@ -58,7 +35,7 @@ def test_lambdas_agree_with_hermitian_proxy():
     for _ in range(100):
         rho = ginibre_state(rng, 4, (2, 2))
         a = wo.wootters_lambdas(rho)
-        b = wo.lambdas_via_proxy(rho)
+        b = lambdas_via_proxy(rho)
         assert np.max(np.abs(a - b)) <= 1e-7
 
 
