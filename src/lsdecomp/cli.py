@@ -343,12 +343,13 @@ def _selftest() -> tuple[dict, bool]:
         states.max_entangled(3).conj() @ states.make_isotropic(3, 0.4).mat
         @ states.max_entangled(3)) - 0.4) < 1e-12)
     run("multi_iso_threshold", lambda: abs(
-        separability.multi_iso_threshold(2, 3) - 0.2) < 1e-15)
+        states.multi_iso_threshold(2, 3) - 0.2) < 1e-15)
     run("bd22_weight", lambda: abs(lsd.lsd_bd22([0.7, 0.1, 0.1, 0.1]).lam - 0.6) < 1e-12)
-    run("werner_weight", lambda: abs(lsd.lsd_werner(2, -0.5).lam - 0.5) < 1e-12)
-    run("isotropic_weight", lambda: abs(lsd.lsd_isotropic(3, 0.5).lam - 0.75) < 1e-12)
-    run("horodecki_weight", lambda: abs(lsd.lsd_horodecki33(4.0).lam - 0.5) < 1e-12)
-    run("multi_iso_weight", lambda: abs(lsd.lsd_multi_iso(2, 3, 0.6).lam - 0.5) < 1e-12)
+    run("werner_weight", lambda: abs(lsd.decompose(states.Werner(2, -0.5)).lam - 0.5) < 1e-12)
+    run("isotropic_weight", lambda: abs(lsd.decompose(states.Isotropic(3, 0.5)).lam - 0.75) < 1e-12)
+    run("horodecki_weight", lambda: abs(lsd.decompose(states.Horodecki33(4.0)).lam - 0.5) < 1e-12)
+    run("multi_iso_weight", lambda: abs(
+        lsd.decompose(states.MultiIso(2, 3, 0.6)).lam - 0.5) < 1e-12)
     run("singlet_concurrence", lambda: abs(
         wootters.concurrence(states.make_bd22([0, 0, 0, 1])) - 1.0) < 1e-12)
     run("fixed_weight_min_ratio", lambda: abs(oracle.lambda_max_fixed(

@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from . import matcore, separability, wootters
+from . import separability, wootters
 from .errors import DecompositionUnavailable, InputError, NumericalError
 from .separability import SeparabilityVerdict
 from .states import (
@@ -34,12 +34,8 @@ from .states import (
     FAMILIES,
     FAMILY_BY_SPEC,
     DensityMatrix,
-    Horodecki33,
-    Isotropic,
-    MultiIso,
     Raw,
     StateSpec,
-    Werner,
     clean_probabilities,
     dispatch,
     make_bd22,
@@ -95,7 +91,8 @@ def _assemble(rho: DensityMatrix, lam: float, sep: DensityMatrix, method: str) -
     lam = min(1.0, max(0.0, lam))
     ent = rho.mat - lam * sep.mat
     ent = 0.5 * (ent + ent.conj().T)
-    if not matcore.is_psd(ent, RESIDUAL_PSD_TOL):
+    # ent is finite and exactly Hermitian here, so only its spectrum is tested
+    if np.linalg.eigvalsh(ent)[0] < -RESIDUAL_PSD_TOL * max(1.0, np.linalg.norm(ent)):
         raise NumericalError("entangled part is not PSD")
     return LSDecomposition(lam, sep, ent, method, rho)
 
@@ -264,12 +261,6 @@ def _line_split(spec: type, *args) -> LSDecomposition:
         return _separable_case(rho, fam.name)
     lam = max(0.0, (x1 - float(x)) * den / (x1 * den - num))
     return _assemble(rho, lam, separability.line_state(spec, *sizes, x0), fam.name)
-
-
-lsd_werner = partial(_line_split, Werner)
-lsd_isotropic = partial(_line_split, Isotropic)
-lsd_horodecki33 = partial(_line_split, Horodecki33)
-lsd_multi_iso = partial(_line_split, MultiIso)
 
 
 # --------------------------------------------------------------------------

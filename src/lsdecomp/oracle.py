@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -46,12 +45,8 @@ from .states import (
     FAMILIES,
     FAMILY_BY_SPEC,
     DensityMatrix,
-    Horodecki33,
-    Isotropic,
-    MultiIso,
     Raw,
     StateSpec,
-    Werner,
     bell_basis_22,
     bell_basis_23,
     dispatch,
@@ -198,12 +193,6 @@ def _line_family(spec: type, *sizes) -> SeparableFamily:
     near = separability.line_state(spec, *sizes, num / den)
     ends = [far.mat, near.mat] if line.far < line.end else [near.mat, far.mat]
     return _cone_family(fam.name, ends, np.eye(2))
-
-
-werner_family = partial(_line_family, Werner)
-isotropic_family = partial(_line_family, Isotropic)
-horodecki33_family = partial(_line_family, Horodecki33)
-multi_iso_family = partial(_line_family, MultiIso)
 
 
 _SEARCH_FAMILIES = {
@@ -376,8 +365,11 @@ def bsa_search(
     (but not below MIN_GAP); eps is EPS, plus the size of rho's smallest
     eigenvalue if that is negative. The search is deterministic; `seed` is
     accepted and not used. Returns the weight tr S(y) and the maximizing
-    candidate S(y) / tr S(y). Raises NoConvergence when the solver fails.
+    candidate S(y) / tr S(y). Raises InputError for a tol that is not
+    finite and NoConvergence when the solver fails.
     """
+    if not math.isfinite(tol):
+        raise InputError(f"tol must be finite, got {tol}")
     gens = family.gens
     if gens.shape[1] != rho.mat.shape[0]:
         raise InputError(f"family size {gens.shape[1]} != state size {rho.mat.shape[0]}")

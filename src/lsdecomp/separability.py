@@ -32,7 +32,6 @@ from .states import (
     dispatch,
     icd_theta,
     make_raw,
-    multi_iso_threshold,  # noqa: F401 - re-exported
 )
 
 SEPARABLE = "separable"

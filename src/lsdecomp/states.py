@@ -43,7 +43,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = matcore.as_matrix(self.mat)
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_whole("subsystem dimension", d) for d in self.dims)
         size = 1
         for d in dims:
             if d < 1:
@@ -66,7 +66,7 @@ class DensityMatrix:
 
 
 # --------------------------------------------------------------------------
-# family parameter records (a tagged union; FAMILIES below maps each to its tag)
+# family parameter records (a tagged union, StateSpec, read off FAMILIES below)
 
 @dataclass(frozen=True)
 class BD22:
@@ -112,9 +112,6 @@ class MultiIso:
 class Raw:
     dims: tuple[int, ...]
     matrix: np.ndarray = field(repr=False)
-
-
-StateSpec = Union[BD22, ICD, BD23, Werner, Isotropic, Horodecki33, MultiIso, Raw]
 
 
 def clean_probabilities(p, n: int) -> np.ndarray:
@@ -385,7 +382,8 @@ class Family:
     and, for a one-parameter family, its `Line`.
 
     The spec's fields are the family's JSON fields and, in the same order,
-    the arguments of its constructor and of its `lsd_*` split.
+    the arguments of its constructor and of every entry `dispatch` calls
+    for it.
     """
 
     name: str
@@ -410,6 +408,7 @@ FAMILIES = (
                 "multi_iso_threshold")),
     Family("raw", Raw, make_raw),
 )
+StateSpec = Union[tuple(fam.spec for fam in FAMILIES)]
 FAMILY_BY_NAME = {fam.name: fam for fam in FAMILIES}
 FAMILY_BY_SPEC = {fam.spec: fam for fam in FAMILIES}
 _CONSTRUCTORS = {fam.spec: fam.make for fam in FAMILIES}

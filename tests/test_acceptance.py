@@ -73,38 +73,39 @@ def _draw(family: str, rng: np.random.Generator):
     if family == "werner":
         d = int(rng.integers(2, 5))
         f = float(rng.uniform(-1.0, -1e-3))
-        rho, dec = st.make_werner(d, f), lsd.lsd_werner(d, f)
+        rho, dec = st.make_werner(d, f), lsd.decompose(st.Werner(d, f))
         cert = (
             sep.ppt_check(dec.separable_part)
             if d == 2
             else sep.family_region(st.Werner(d=d, f=0.0))
         )
-        return rho, dec, orc.werner_family(d), cert
+        return rho, dec, orc.family_for_spec(st.Werner(d, f)), cert
     if family == "isotropic":
         d = int(rng.integers(2, 5))
         fid = float(rng.uniform(1.0 / d + 1e-3, 1.0))
-        rho, dec = st.make_isotropic(d, fid), lsd.lsd_isotropic(d, fid)
+        rho, dec = st.make_isotropic(d, fid), lsd.decompose(st.Isotropic(d, fid))
         cert = (
             sep.ppt_check(dec.separable_part)
             if d == 2
             else sep.family_region(st.Isotropic(d=d, F=1.0 / d))
         )
-        return rho, dec, orc.isotropic_family(d), cert
+        return rho, dec, orc.family_for_spec(st.Isotropic(d, fid)), cert
     if family == "horodecki33":
         alpha = float(rng.uniform(3.0 + 1e-3, 5.0))
-        rho, dec = st.make_horodecki33(alpha), lsd.lsd_horodecki33(alpha)
-        return rho, dec, orc.horodecki33_family(), sep.family_region(st.Horodecki33(alpha=3.0))
+        rho, dec = st.make_horodecki33(alpha), lsd.decompose(st.Horodecki33(alpha))
+        cert = sep.family_region(st.Horodecki33(alpha=3.0))
+        return rho, dec, orc.family_for_spec(st.Horodecki33(alpha)), cert
     if family == "multi_iso":
         d, n = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)][int(rng.integers(0, 6))]
-        s0 = sep.multi_iso_threshold(d, n)
+        s0 = st.multi_iso_threshold(d, n)
         s = float(rng.uniform(s0 + 1e-3, 1.0))
-        rho, dec = st.make_multi_iso(d, n, s), lsd.lsd_multi_iso(d, n, s)
+        rho, dec = st.make_multi_iso(d, n, s), lsd.decompose(st.MultiIso(d, n, s))
         cert = (
             sep.ppt_check(dec.separable_part)
             if (d, n) == (2, 2)
             else sep.family_region(st.MultiIso(d=d, n=n, s=s0))
         )
-        return rho, dec, orc.multi_iso_family(d, n), cert
+        return rho, dec, orc.family_for_spec(st.MultiIso(d, n, s)), cert
     raise ValueError(family)
 
 
@@ -200,10 +201,10 @@ def test_criterion_4_residual_structure(battery):
 def test_criterion_5_spot_values():
     cases = [
         ("bd22(0.7,0.1,0.1,0.1)", lsd.lsd_bd22([0.7, 0.1, 0.1, 0.1]).lam, 0.6),
-        ("werner(2,-0.5)", lsd.lsd_werner(2, -0.5).lam, 0.5),
-        ("isotropic(3,0.5)", lsd.lsd_isotropic(3, 0.5).lam, 0.75),
-        ("horodecki33(4)", lsd.lsd_horodecki33(4.0).lam, 0.5),
-        ("multi_iso(2,3,0.6)", lsd.lsd_multi_iso(2, 3, 0.6).lam, 0.5),
+        ("werner(2,-0.5)", lsd.decompose(st.Werner(2, -0.5)).lam, 0.5),
+        ("isotropic(3,0.5)", lsd.decompose(st.Isotropic(3, 0.5)).lam, 0.75),
+        ("horodecki33(4)", lsd.decompose(st.Horodecki33(4.0)).lam, 0.5),
+        ("multi_iso(2,3,0.6)", lsd.decompose(st.MultiIso(2, 3, 0.6)).lam, 0.5),
     ]
     worst = max(abs(got - want) for _, got, want in cases)
     print(f"\ncriterion 5: max spot-value error = {worst:.3e} "

@@ -157,7 +157,7 @@ def _line_cases():
     for d in range(2, 9):
         for n in range(2, 7):
             if d**n <= 64:
-                s0 = separability.multi_iso_threshold(d, n)
+                s0 = st.multi_iso_threshold(d, n)
                 edge = st.MultiIso(d=d, n=n, s=s0)
                 cases.append((st.MultiIso(d=d, n=n, s=0.6), (1 - 0.6) / (1 - s0),
                               [st.MultiIso(d=d, n=n, s=0.0), edge], edge))

@@ -348,17 +348,17 @@ def test_near_pure_raw_states_pass_ppt_on_their_unnormalized_part(eps):
 # -- one-parameter families -------------------------------------------------
 
 def test_werner_weights_and_residual():
-    dec = lsd.lsd_werner(2, -1.0)
+    dec = lsd.decompose(st.Werner(2, -1.0))
     assert dec.lam == 0.0
     singlet = st.make_bd22([0, 0, 0, 1])
     assert np.linalg.norm(dec.entangled_part - singlet.mat) <= 1e-12
 
-    dec = lsd.lsd_werner(2, -0.5)
+    dec = lsd.decompose(st.Werner(2, -0.5))
     assert dec.lam == pytest.approx(0.5, abs=1e-15)
     report = check_decomposition(st.make_werner(2, -0.5), dec)
     assert report.residual_rank == 1
 
-    dec = lsd.lsd_werner(3, -0.5)
+    dec = lsd.decompose(st.Werner(3, -0.5))
     assert dec.lam == pytest.approx(0.5, abs=1e-15)
     assert np.trace(dec.entangled_part).real == pytest.approx(0.5, abs=1e-12)
     report = check_decomposition(st.make_werner(3, -0.5), dec)
@@ -366,39 +366,39 @@ def test_werner_weights_and_residual():
 
 
 def test_werner_separable_side():
-    assert lsd.lsd_werner(3, 0.2).lam == 1.0
+    assert lsd.decompose(st.Werner(3, 0.2)).lam == 1.0
 
 
 def test_isotropic_weights():
-    dec = lsd.lsd_isotropic(3, 0.5)
+    dec = lsd.decompose(st.Isotropic(3, 0.5))
     assert dec.lam == pytest.approx(0.75, abs=1e-15)
     report = check_decomposition(st.make_isotropic(3, 0.5), dec)
     assert report.residual_rank == 1
-    assert lsd.lsd_isotropic(3, 1 / 3).lam == 1.0
-    assert lsd.lsd_isotropic(3, 1.0).lam == pytest.approx(0.0, abs=1e-15)
+    assert lsd.decompose(st.Isotropic(3, 1 / 3)).lam == 1.0
+    assert lsd.decompose(st.Isotropic(3, 1.0)).lam == pytest.approx(0.0, abs=1e-15)
 
 
 def test_horodecki_weights_and_affine_identity():
-    dec = lsd.lsd_horodecki33(4.0)
+    dec = lsd.decompose(st.Horodecki33(4.0))
     assert dec.lam == pytest.approx(0.5, abs=1e-15)
     recon = 0.5 * st.make_horodecki33(3.0).mat + 0.5 * st.make_horodecki33(5.0).mat
     assert np.linalg.norm(st.make_horodecki33(4.0).mat - recon) <= 1e-14
     report = check_decomposition(st.make_horodecki33(4.0), dec)
     assert report.residual_rank == 4
-    assert lsd.lsd_horodecki33(3.0).lam == 1.0
-    dec = lsd.lsd_horodecki33(5.0)
+    assert lsd.decompose(st.Horodecki33(3.0)).lam == 1.0
+    dec = lsd.decompose(st.Horodecki33(5.0))
     assert dec.lam == 0.0
     assert np.linalg.norm(dec.entangled_part - st.make_horodecki33(5.0).mat) <= 1e-12
 
 
 def test_multi_iso_weights():
-    dec = lsd.lsd_multi_iso(2, 3, 0.6)
+    dec = lsd.decompose(st.MultiIso(2, 3, 0.6))
     assert dec.lam == pytest.approx(0.5, abs=1e-14)
     report = check_decomposition(st.make_multi_iso(2, 3, 0.6), dec)
     assert report.residual_rank == 1
-    assert lsd.lsd_multi_iso(2, 3, 0.2).lam == 1.0
-    assert lsd.lsd_multi_iso(2, 3, 1.0).lam == pytest.approx(0.0, abs=1e-14)
-    assert lsd.lsd_multi_iso(3, 2, 0.5).lam == pytest.approx(
+    assert lsd.decompose(st.MultiIso(2, 3, 0.2)).lam == 1.0
+    assert lsd.decompose(st.MultiIso(2, 3, 1.0)).lam == pytest.approx(0.0, abs=1e-14)
+    assert lsd.decompose(st.MultiIso(3, 2, 0.5)).lam == pytest.approx(
         (1 - 0.5) * (1 + 3) / 3, abs=1e-14
     )
 
@@ -462,10 +462,10 @@ def test_weight_is_maximal_within_family():
         cases.append((st.make_bd22(p), lsd.lsd_bd22(p)))
         theta, q = sample_entangled_icd(rng)
         cases.append((st.make_icd(theta, q), lsd.lsd_icd(theta, q)))
-    cases.append((st.make_werner(3, -0.5), lsd.lsd_werner(3, -0.5)))
-    cases.append((st.make_isotropic(3, 0.5), lsd.lsd_isotropic(3, 0.5)))
-    cases.append((st.make_horodecki33(4.0), lsd.lsd_horodecki33(4.0)))
-    cases.append((st.make_multi_iso(2, 3, 0.6), lsd.lsd_multi_iso(2, 3, 0.6)))
+    cases.append((st.make_werner(3, -0.5), lsd.decompose(st.Werner(3, -0.5))))
+    cases.append((st.make_isotropic(3, 0.5), lsd.decompose(st.Isotropic(3, 0.5))))
+    cases.append((st.make_horodecki33(4.0), lsd.decompose(st.Horodecki33(4.0))))
+    cases.append((st.make_multi_iso(2, 3, 0.6), lsd.decompose(st.MultiIso(2, 3, 0.6))))
     from lsdecomp import matcore as mc
 
     for rho, dec in cases:

@@ -114,25 +114,27 @@ def test_min_eig_monotone_in_weight():
 # -- family search -----------------------------------------------------------
 
 def test_search_werner():
-    lam, sigma = orc.bsa_search(st.make_werner(2, -0.5), orc.werner_family(2))
+    lam, sigma = orc.bsa_search(st.make_werner(2, -0.5), orc.family_for_spec(st.Werner(2, -0.5)))
     assert lam == pytest.approx(0.5, abs=1e-8)
     # the optimum sits at f' = 0
     assert np.linalg.norm(sigma.mat - st.make_werner(2, 0.0).mat) <= 1e-6
 
 
 def test_search_isotropic():
-    lam, sigma = orc.bsa_search(st.make_isotropic(3, 0.5), orc.isotropic_family(3))
+    lam, sigma = orc.bsa_search(
+        st.make_isotropic(3, 0.5), orc.family_for_spec(st.Isotropic(3, 0.5)))
     assert lam == pytest.approx(0.75, abs=1e-8)
     assert np.linalg.norm(sigma.mat - st.make_isotropic(3, 1 / 3).mat) <= 1e-6
 
 
 def test_search_horodecki():
-    lam, _ = orc.bsa_search(st.make_horodecki33(4.0), orc.horodecki33_family())
+    lam, _ = orc.bsa_search(st.make_horodecki33(4.0), orc.family_for_spec(st.Horodecki33(4.0)))
     assert lam == pytest.approx(0.5, abs=1e-8)
 
 
 def test_search_multi_iso():
-    lam, _ = orc.bsa_search(st.make_multi_iso(2, 3, 0.6), orc.multi_iso_family(2, 3))
+    lam, _ = orc.bsa_search(
+        st.make_multi_iso(2, 3, 0.6), orc.family_for_spec(st.MultiIso(2, 3, 0.6)))
     assert lam == pytest.approx(0.5, abs=1e-8)
 
 
@@ -235,6 +237,13 @@ def test_search_tolerance_below_the_attainable_gap(tol):
     spec = st.BD23(p=(0.45, 0.05, 0.2, 0.1, 0.15, 0.05))
     lam, _ = orc.bsa_search(st.build(spec), orc.bd23_family(), tol=tol)
     assert abs(lam - lsd.decompose(spec).lam) <= 1e-10
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+def test_search_rejects_a_tol_that_is_not_finite(tol):
+    # inf would stop at the start point and nan would run out of Newton steps
+    with pytest.raises(InputError, match="tol must be finite"):
+        orc.bsa_search(st.make_bd22([0.7, 0.1, 0.1, 0.1]), orc.bd22_family(), tol=tol)
 
 
 def test_search_failures_raise_no_convergence(monkeypatch):

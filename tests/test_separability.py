@@ -122,7 +122,7 @@ def test_family_region_horodecki_details():
 
 
 def test_family_region_multi_iso_threshold():
-    assert sep.multi_iso_threshold(2, 3) == pytest.approx(0.2)
+    assert st.multi_iso_threshold(2, 3) == pytest.approx(0.2)
     assert sep.family_region(st.MultiIso(d=2, n=3, s=0.19)).status == sep.SEPARABLE
     assert sep.family_region(st.MultiIso(d=2, n=3, s=0.21)).status == sep.ENTANGLED
 

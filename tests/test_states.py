@@ -294,8 +294,16 @@ def test_build_dispatch_and_raw():
     (np.array([[0.5, 1e200], [-1e200, 0.5]]), (2,), "its norm overflows a double"),
     # a finite norm, but the skew part's norm overflows
     (np.array([[0.5, 8e153], [-8e153, 0.5]]), (2,), "not Hermitian within 1e-12"),
+    # a dimension is held to the integer rule of every other size
+    (np.eye(4) / 4, (2.5, 2), "subsystem dimension must be an integer, got 2.5"),
+    (np.eye(4) / 4, ("2", "2"), "subsystem dimension must be an integer, got '2'"),
+    (np.eye(4) / 4, ("x", 2), "subsystem dimension must be an integer, got 'x'"),
+    (np.eye(4) / 4, (math.nan, 2), "subsystem dimension must be an integer, got nan"),
+    (np.eye(4) / 4, (None, 2), "subsystem dimension must be an integer, got None"),
+    (np.eye(4) / 4, (math.inf, 2), "subsystem dimension must be an integer, got inf"),
 ], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim", "norm_overflow",
-        "antisymmetric_norm_overflow", "skew_norm_overflow"])
+        "antisymmetric_norm_overflow", "skew_norm_overflow", "dims_fractional", "dims_text",
+        "dims_word", "dims_nan", "dims_none", "dims_inf"])
 def test_density_matrix_rejects_with_input_error(mat, dims, message):
     # InputError is also a ValueError, so code that catches ValueError still works
     with pytest.raises(InputError, match=message) as info:
@@ -303,6 +311,12 @@ def test_density_matrix_rejects_with_input_error(mat, dims, message):
     assert isinstance(info.value, ValueError)
     with pytest.raises(InputError, match=message):
         st.make_raw(dims, mat)
+
+
+def test_density_matrix_reads_whole_dims_as_ints():
+    for dims in [(2.0, 2.0), (np.int64(2), np.int64(2))]:
+        rho = st.DensityMatrix(np.eye(4) / 4, dims)
+        assert rho.dims == (2, 2) and all(type(d) is int for d in rho.dims)
 
 
 def test_density_matrix_accepts_exactly_hermitian_psd_matrices():
