@@ -391,10 +391,14 @@ def _dump(obj, pad: str = "\n") -> str:
     sorted, the distinct ones encoded in one call, and each entry looked
     up. A list is written entry by entry, and a finite float with
     `float.__repr__`, as the encoder writes it, without building an encoder
-    per entry."""
+    per entry. As with the stock encoder, the first NaN or infinity met
+    raises `ValueError` naming it, and each level of nesting costs one
+    frame, so any value `json.loads` returns can be written."""
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        items = (f"{_SCALAR.encode(key)}: {_dump(obj[key], inner)}" for key in sorted(obj))
+        items = []  # filled by a loop: a generator or map would add a frame per level
+        for key in sorted(obj):
+            items.append(_SCALAR.encode(key) + ": " + _dump(obj[key], inner))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, np.ndarray):
         if obj.ndim != 2 or obj.dtype != np.float64 or not obj.size:
@@ -406,15 +410,23 @@ def _dump(obj, pad: str = "\n") -> str:
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
         distinct = keys[first]
-        text = _SCALAR.encode(distinct.view(np.float64).tolist())
+        try:
+            text = _SCALAR.encode(distinct.view(np.float64).tolist())
+        except ValueError:  # raised again, for the first non-finite entry in row-major order
+            return _dump(obj.tolist(), pad)
         cells = np.array(text[1:-1].split(", "), dtype=object)[distinct.searchsorted(bits)]
         deeper = inner + "  "
         rows = ("[" + deeper + ("," + deeper).join(row) + inner + "]" for row in cells.tolist())
         return "[" + inner + ("," + inner).join(rows) + pad + "]"
     if isinstance(obj, (list, tuple)) and obj:
-        return "[" + inner + ("," + inner).join(_dump(item, inner) for item in obj) + pad + "]"
-    if isinstance(obj, float) and math.isfinite(obj):
-        return float.__repr__(obj)  # what the encoder writes; repr(np.float64) differs
+        items = []
+        for item in obj:
+            items.append(_dump(item, inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)  # what the encoder writes; repr(np.float64) differs
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
     return _SCALAR.encode(obj)
 
 
@@ -422,14 +434,8 @@ def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         try:
             text = _dump(report)
-        except (ValueError, RecursionError):
-            # NaN or infinity, whose stock message names the value, or lists
-            # nested deeper than _dump's two frames per level can reach
-            try:
-                text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False,
-                                  default=np.ndarray.tolist)
-            except ValueError as exc:
-                raise InputError(str(exc)) from exc
+        except ValueError as exc:  # NaN or infinity in an echoed input
+            raise InputError(str(exc)) from exc
         sys.stdout.write(text + "\n")
         return
     _emit_text(report, indent="")

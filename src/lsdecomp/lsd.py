@@ -38,6 +38,7 @@ from .states import (
     StateSpec,
     clean_probabilities,
     dispatch,
+    icd_theta,
     make_bd22,
     make_bd23,
     make_icd,
@@ -168,6 +169,7 @@ def lsd_icd(theta: float, p) -> LSDecomposition:
     root; the separable part saturates the same inequality and the residual
     is pure on basis vector k.
     """
+    theta = icd_theta(theta)
     rho = make_icd(theta, p)
     p = clean_probabilities(p, 4)
     region = separability.icd_region(theta, p)
@@ -253,13 +255,13 @@ def _line_split(spec: type, *args) -> LSDecomposition:
     num), lam rounds as 1 + f, d (1 - F) / (d - 1), (5 - alpha) / 2 and
     (1 - s) / (1 - s0) do, where x0 is 0, 1/d, 3 and s0."""
     fam = FAMILY_BY_SPEC[spec]
-    rho = fam.make(*args)  # built first: it checks the sizes the threshold reads
-    *sizes, x = args
+    *sizes, x = fam.line.params(*args)  # checked first: the threshold reads the sizes
+    rho = fam.make(*args)
     num, den = fam.line.threshold(*sizes)
     x0, x1 = num / den, fam.line.end
     if (x - x0) * (x1 - x0) <= 0.0:  # x is not past x0 towards x1
         return _separable_case(rho, fam.name)
-    lam = max(0.0, (x1 - float(x)) * den / (x1 * den - num))
+    lam = max(0.0, (x1 - x) * den / (x1 * den - num))
     return _assemble(rho, lam, separability.line_state(spec, *sizes, x0), fam.name)
 
 

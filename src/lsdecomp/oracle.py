@@ -27,6 +27,7 @@ Three layers:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,9 +366,11 @@ def bsa_search(
     (but not below MIN_GAP); eps is EPS, plus the size of rho's smallest
     eigenvalue if that is negative. The search is deterministic; `seed` is
     accepted and not used. Returns the weight tr S(y) and the maximizing
-    candidate S(y) / tr S(y). Raises InputError for a tol that is not
-    finite and NoConvergence when the solver fails.
+    candidate S(y) / tr S(y). Raises InputError for a tol that is not a
+    finite real number and NoConvergence when the solver fails.
     """
+    if not isinstance(tol, numbers.Real):
+        raise InputError(f"tol must be a real number, got {tol!r}")
     if not math.isfinite(tol):
         raise InputError(f"tol must be finite, got {tol}")
     gens = family.gens

@@ -43,7 +43,10 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = matcore.as_matrix(self.mat)
-        dims = tuple(_whole("subsystem dimension", d) for d in self.dims)
+        try:
+            dims = tuple(_whole("subsystem dimension", d) for d in self.dims)
+        except TypeError:  # dims is not iterable
+            raise InputError(f"dims must be a sequence of integers, got {self.dims!r}") from None
         size = 1
         for d in dims:
             if d < 1:
@@ -120,7 +123,10 @@ def clean_probabilities(p, n: int) -> np.ndarray:
     Entries must lie in [0, 1] and sum to 1 within 1e-9; the vector is then
     renormalized exactly. Worse violations raise InputError.
     """
-    arr = np.asarray(p, dtype=float)
+    try:
+        arr = np.asarray(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"probabilities must be numbers, got {p!r}") from None
     if arr.shape != (n,):
         raise InputError(f"expected {n} probabilities, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -213,7 +219,7 @@ def make_bd22(p) -> DensityMatrix:
 def icd_theta(theta: float) -> float:
     """theta as a number in (0, pi/2) at which sin^2(2 theta), which the
     icd region test, split and search family divide by, is a normal double."""
-    theta = float(theta)
+    theta = _real("theta", theta)
     if not (0.0 < theta < math.pi / 2):
         raise InputError(f"theta must lie strictly in (0, pi/2), got {theta}")
     if math.sin(2.0 * theta) ** 2 < sys.float_info.min:
@@ -234,6 +240,14 @@ def make_bd23(p) -> DensityMatrix:
     return _mixture(bell_basis_23(), p, (2, 3))
 
 
+def _real(name: str, value) -> float:
+    """A parameter as a float; InputError for one float() rejects."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{name} must be a number, got {value!r}") from None
+
+
 def _whole(name: str, value) -> int:
     """A size as an int; InputError for a fractional one, which int()
     would truncate to another state's size, and for one int() rejects."""
@@ -251,7 +265,7 @@ def _bipartite_params(kind: str, label: str, lo: float, hi: float, d, x) -> tupl
     """(d, x) as numbers, checked against the family's range [lo, hi] and
     the size limit d*d <= 64."""
     d = _whole(f"{kind} dimension", d)
-    x = float(x)
+    x = _real(label, x)
     if d < 2:
         raise InputError(f"{kind} dimension must be >= 2, got {d}")
     if not (lo - 1e-12 <= x <= hi + 1e-12):
@@ -304,7 +318,7 @@ def _horodecki_parts() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def horodecki33_params(alpha: float) -> tuple[float]:
     """(alpha,), alpha as a number checked against [2, 5]."""
-    alpha = float(alpha)
+    alpha = _real("alpha", alpha)
     if not (2.0 - 1e-12 <= alpha <= 5.0 + 1e-12):
         raise InputError(f"alpha={alpha} outside [2, 5]")
     return (alpha,)
@@ -322,7 +336,7 @@ def multi_iso_params(d: int, n: int, s: float) -> tuple[int, int, float]:
     """(d, n, s) as numbers, checked against the multipartite ranges and
     the size limit d^n <= 64."""
     d, n = _whole("local dimension", d), _whole("party count", n)
-    s = float(s)
+    s = _real("s", s)
     if d < 2:
         raise InputError(f"local dimension must be >= 2, got {d}")
     if n < 2:
@@ -353,7 +367,7 @@ def make_multi_iso(d: int, n: int, s: float) -> DensityMatrix:
 
 def make_raw(dims, matrix) -> DensityMatrix:
     """A user-supplied matrix, validated as a density matrix."""
-    return DensityMatrix(mat=np.asarray(matrix), dims=tuple(dims))
+    return DensityMatrix(mat=np.asarray(matrix), dims=dims)
 
 
 # --------------------------------------------------------------------------

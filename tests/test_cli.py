@@ -640,6 +640,46 @@ def test_hand_made_matrices_print_as_the_stock_encoder_does():
     assert cli._dump(report) + "\n" == _stock(report)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize("place", [
+    lambda v: v,
+    lambda v: {"a": [1, [2.5, [v, float("nan")]]], "z": float("nan")},
+    lambda v: [{"b": 1, "a": v}, float("nan")],
+    lambda v: {"block": np.array([[0.5, -0.0], [v, float("nan")]])},
+], ids=["top", "nested_list", "dict_in_list", "float64_block"])
+def test_non_finite_numbers_raise_the_stock_message(place, value):
+    # the first one met, in sorted key, list and row-major order, is named
+    with pytest.raises(ValueError) as stock:
+        _stock(place(value))
+    with pytest.raises(ValueError) as ours:
+        cli._dump(place(value))
+    assert str(ours.value) == str(stock.value)
+    assert str(ours.value).endswith(": " + repr(value))
+
+
+def test_lists_nested_900_deep_print_as_the_stock_encoder_does():
+    obj = _nested([0.5], 900)
+    assert cli._dump(obj) + "\n" == _stock(obj)
+
+
+def test_verify_echoes_the_deepest_input_it_reads(capsys):
+    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
+    report["input"]["note"] = "deep"  # ignored by the parser, echoed by verify
+    head, tail = json.dumps(report).split('"deep"')
+    depth = sys.getrecursionlimit()
+    while True:  # from the deepest conceivable down to the deepest the reader parses
+        code, out, err = run_cli(capsys, "verify", "--input",
+                                 head + "[" * depth + "]" * depth + tail)
+        if err != "error (InputError): input is nested too deeply to parse\n":
+            break
+        depth -= 1
+    assert depth > 900
+    assert (code, err) == (0, "")
+    echoed = json.loads(out)
+    assert out == _stock(echoed)
+    assert echoed["input"] == {**report["input"], "note": _nested([], depth - 1)}
+
+
 def test_verify_echoes_a_raw_input_of_integers_as_integers(capsys):
     pure = [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
     spec = {"family": "raw", "dims": [2, 2], "re": pure, "im": [[0] * 4] * 4}
@@ -844,15 +884,6 @@ def test_verify_rejects_a_separable_block_of_more_than_32_dimensions(capsys):
     assert (code, out) == (2, "")
     assert err == ("error (InputError): malformed report field 'separable': "
                    f"'re' has shape {(1,) * 40} and 'im' has shape (4, 4)\n")
-
-
-def test_verify_echoes_an_input_nested_deeper_than_the_writer_recurses(capsys):
-    report = run_json(capsys, "decompose", "--input", json.dumps(BD22))
-    report["input"]["note"] = _nested([], 600)  # ignored by the parser, echoed by verify
-    code, out, err = run_cli(capsys, "verify", "--input", json.dumps(report))
-    assert (code, err) == (0, "")
-    assert json.loads(out)["input"] == report["input"]
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_an_input_file_that_is_not_utf8_is_named(capsys, tmp_path):

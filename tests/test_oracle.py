@@ -239,10 +239,15 @@ def test_search_tolerance_below_the_attainable_gap(tol):
     assert abs(lam - lsd.decompose(spec).lam) <= 1e-10
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-def test_search_rejects_a_tol_that_is_not_finite(tol):
+@pytest.mark.parametrize("tol, message", [
+    (math.nan, "tol must be finite"), (math.inf, "tol must be finite"),
+    (-math.inf, "tol must be finite"),
+    ("1e-7", "tol must be a real number, got '1e-7'"),
+    (None, "tol must be a real number, got None"),
+], ids=["nan", "inf", "-inf", "text", "none"])
+def test_search_rejects_a_tol_that_is_not_finite(tol, message):
     # inf would stop at the start point and nan would run out of Newton steps
-    with pytest.raises(InputError, match="tol must be finite"):
+    with pytest.raises(InputError, match=message):
         orc.bsa_search(st.make_bd22([0.7, 0.1, 0.1, 0.1]), orc.bd22_family(), tol=tol)
 
 

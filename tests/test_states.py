@@ -270,6 +270,44 @@ def test_non_finite_sizes_raise_input_error(params, spec, name, value):
             call(value)
 
 
+_P4 = (0.7, 0.1, 0.1, 0.1)
+
+
+@pytest.mark.parametrize("spec, message", [
+    (st.Werner(d=3, f="y"), "Werner parameter f must be a number, got 'y'"),
+    (st.Werner(d=3, f=None), "Werner parameter f must be a number, got None"),
+    (st.Isotropic(d=3, F=[0.5]), r"fidelity F must be a number, got \[0.5\]"),
+    (st.Horodecki33(alpha="y"), "alpha must be a number, got 'y'"),
+    (st.MultiIso(d=2, n=3, s=None), "s must be a number, got None"),
+    (st.BD22(p=("a", 0, 0, 1)), "probabilities must be numbers"),
+    (st.BD23(p=("x", 0, 0, 0, 0, 1)), "probabilities must be numbers"),
+    (st.ICD(theta="y", p=_P4), "theta must be a number, got 'y'"),
+], ids=["werner_text", "werner_none", "isotropic_list", "horodecki33_text", "multi_iso_none",
+        "bd22_text", "bd23_text", "icd_text"])
+def test_parameters_float_cannot_read_raise_input_error(spec, message):
+    calls = [st.build, lsd.decompose, separability.family_region]
+    if isinstance(spec, st.ICD):  # the only search family that reads more than sizes
+        calls.append(orc.family_for_spec)
+    for call in calls:
+        with pytest.raises(InputError, match=message):
+            call(spec)
+
+
+@pytest.mark.parametrize("text, number", [
+    (st.Werner(d=3, f="-0.5"), st.Werner(d=3, f=-0.5)),
+    (st.ICD(theta="0.6", p=_P4), st.ICD(theta=0.6, p=_P4)),
+], ids=["werner", "icd"])
+def test_numeric_text_is_split_as_its_number(text, number):
+    # every entry point reads the parameter with float()
+    got, want = lsd.decompose(text), lsd.decompose(number)
+    assert (got.lam, got.method) == (want.lam, want.method)
+    assert np.array_equal(got.separable_part.mat, want.separable_part.mat)
+    assert np.array_equal(got.entangled_part, want.entangled_part)
+    assert np.array_equal(st.build(text).mat, st.build(number).mat)
+    assert separability.family_region(text) == separability.family_region(number)
+    assert np.array_equal(orc.family_for_spec(text).gens, orc.family_for_spec(number).gens)
+
+
 def test_build_dispatch_and_raw():
     spec = st.Werner(d=2, f=-0.5)
     assert np.allclose(st.build(spec).mat, st.make_werner(2, -0.5).mat)
@@ -301,9 +339,10 @@ def test_build_dispatch_and_raw():
     (np.eye(4) / 4, (math.nan, 2), "subsystem dimension must be an integer, got nan"),
     (np.eye(4) / 4, (None, 2), "subsystem dimension must be an integer, got None"),
     (np.eye(4) / 4, (math.inf, 2), "subsystem dimension must be an integer, got inf"),
+    (np.eye(4) / 4, 4, "dims must be a sequence of integers, got 4"),
 ], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim", "norm_overflow",
         "antisymmetric_norm_overflow", "skew_norm_overflow", "dims_fractional", "dims_text",
-        "dims_word", "dims_nan", "dims_none", "dims_inf"])
+        "dims_word", "dims_nan", "dims_none", "dims_inf", "dims_not_a_sequence"])
 def test_density_matrix_rejects_with_input_error(mat, dims, message):
     # InputError is also a ValueError, so code that catches ValueError still works
     with pytest.raises(InputError, match=message) as info:
