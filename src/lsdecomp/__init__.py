@@ -32,7 +32,7 @@ from .states import (
     Werner,
     build,
 )
-from .wootters import WoottersData, concurrence, wootters_basis, wootters_lambdas
+from .wootters import WoottersData, concurrence, wootters_basis
 
 __version__ = "0.1.0"
 
@@ -67,6 +67,5 @@ __all__ = [
     "ppt_check",
     "verify",
     "wootters_basis",
-    "wootters_lambdas",
     "__version__",
 ]

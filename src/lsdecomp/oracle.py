@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,6 +51,7 @@ from .states import (
     StateSpec,
     bell_basis_22,
     bell_basis_23,
+    clean_probabilities,
     dispatch,
     icd_theta,
     iso_basis,
@@ -170,7 +172,7 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     of weight 0.
     """
     wd = wootters.wootters_basis(rho)
-    flip = _projectors(wd.x_prime_vectors[wd.lambdas > wootters.SUPPORT_CUT])
+    flip = _projectors(wd.flip_vectors)
     m = flip.shape[0]
     if m < 3:  # two flip vectors give one candidate, their equal mixture; one gives none
         flip = flip.sum(axis=0, keepdims=True)[:m // 2]
@@ -183,26 +185,31 @@ def wootters_family(rho: DensityMatrix) -> SeparableFamily:
     return _cone_family("wootters", gens, rows)
 
 
-def _line_family(spec: type, *sizes) -> SeparableFamily:
+def _line_family(spec: type, *args) -> SeparableFamily:
     """A one-parameter state is affine in its parameter: its separable
     members are the non-negative mixtures of the two end states of its
     separable range, the generators here in ascending parameter order."""
     fam = FAMILY_BY_SPEC[spec]
     line = fam.line
-    far = separability.line_state(spec, *sizes, line.far)  # built first: it checks the sizes
+    *sizes, _ = line.params(*args)  # checked as `build` checks them; only the sizes are read
+    far = separability.line_state(spec, *sizes, line.far)
     num, den = line.threshold(*sizes)
     near = separability.line_state(spec, *sizes, num / den)
     ends = [far.mat, near.mat] if line.far < line.end else [near.mat, far.mat]
     return _cone_family(fam.name, ends, np.eye(2))
 
 
+def _weighed(family: SeparableFamily, p, n: int) -> SeparableFamily:
+    """`family`, once the n probabilities it does not read pass `build`'s check."""
+    clean_probabilities(p, n)
+    return family
+
+
 _SEARCH_FAMILIES = {
-    BD22: lambda p: bd22_family(),
-    ICD: lambda theta, p: icd_family(theta),
-    BD23: lambda p: bd23_family(),
-    # a one-parameter spec's family is that of its sizes, its fields but the last
-    **{fam.spec: lambda *args, spec=fam.spec: _line_family(spec, *args[:-1])
-       for fam in FAMILIES if fam.line},
+    BD22: lambda p: _weighed(bd22_family(), p, 4),
+    ICD: lambda theta, p: _weighed(icd_family(theta), p, 4),  # theta checked first
+    BD23: lambda p: _weighed(bd23_family(), p, 6),
+    **{fam.spec: partial(_line_family, fam.spec) for fam in FAMILIES if fam.line},
     Raw: lambda dims, matrix: wootters_family(make_raw(dims, matrix)),
 }
 
@@ -371,8 +378,11 @@ def bsa_search(
     """
     if not isinstance(tol, numbers.Real):
         raise InputError(f"tol must be a real number, got {tol!r}")
-    if not math.isfinite(tol):
-        raise InputError(f"tol must be finite, got {tol}")
+    try:
+        if not math.isfinite(tol):
+            raise InputError(f"tol must be finite, got {tol}")
+    except OverflowError:  # an integer beyond float range, whose digits are not echoed
+        raise InputError("tol must be finite, got an integer beyond float range") from None
     gens = family.gens
     if gens.shape[1] != rho.mat.shape[0]:
         raise InputError(f"family size {gens.shape[1]} != state size {rho.mat.shape[0]}")

@@ -28,41 +28,32 @@ _YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
 SUPPORT_CUT = 1e-12
 
 
-def _require_two_qubits(rho: DensityMatrix) -> None:
-    if tuple(rho.dims) != (2, 2):
-        raise InputError(f"expected dims (2, 2), got {rho.dims}")
-
-
-def _support_vectors(rho: DensityMatrix) -> np.ndarray:
-    """Columns sqrt(mu_i) |e_i> over the support of rho.
+def _spin_flip(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The support columns v_i = sqrt(mu_i) |e_i> of a 2-qubit rho, the
+    Takagi unitary of their overlap tau_ij = <v_i|v~_j>, and its Takagi
+    values lam_i, descending and padded with zeros to 4.
 
     A real rho is cast to complex128 first. The Takagi step needs complex
     values anyway, and the real eigensolver would round otherwise, so the
     cast gives a real rho the spin-flip basis of its complex copy."""
+    if tuple(rho.dims) != (2, 2):
+        raise InputError(f"expected dims (2, 2), got {rho.dims}")
     w, v = np.linalg.eigh(rho.mat.astype(np.complex128, copy=False))
     keep = w > SUPPORT_CUT
-    return v[:, keep] * np.sqrt(w[keep])
+    vcols = v[:, keep] * np.sqrt(w[keep])
+    u, d = matcore.takagi_factorize(vcols.conj().T @ _YY @ vcols.conj())
+    lambdas = np.zeros(4)
+    lambdas[: d.shape[0]] = d
+    return vcols, u, lambdas
 
 
-def _takagi_of_overlap(vcols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    tau = vcols.conj().T @ _YY @ vcols.conj()
-    return matcore.takagi_factorize(tau)
-
-
-def wootters_lambdas(rho: DensityMatrix) -> np.ndarray:
-    """Square roots of the eigenvalues of rho rho~, descending (length 4)."""
-    _require_two_qubits(rho)
-    vcols = _support_vectors(rho)
-    _, d = _takagi_of_overlap(vcols)
-    out = np.zeros(4)
-    out[: d.shape[0]] = d
-    return out
+def _concurrence(lam: np.ndarray) -> float:
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """max(0, lam1 - lam2 - lam3 - lam4); 0 for separable, 1 for Bell states."""
-    lam = wootters_lambdas(rho)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return _concurrence(_spin_flip(rho)[2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,6 +78,11 @@ class WoottersData:
         makes each one a product vector."""
         return self.x_vectors[(self.lambdas <= SUPPORT_CUT) & self.x_vectors.any(axis=1)]
 
+    @property
+    def flip_vectors(self) -> np.ndarray:
+        """The rows x'_i of flip weight lam_i > SUPPORT_CUT."""
+        return self.x_prime_vectors[self.lambdas > SUPPORT_CUT]
+
 
 def wootters_basis(rho: DensityMatrix) -> WoottersData:
     """Construct the biorthogonal spin-flip basis of a 2-qubit state.
@@ -97,15 +93,9 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
     with lam_i real nonnegative descending. Where rho rho~ vanishes
     identically (as for |00><00|), every lam_i, k_i and the concurrence are 0.
     """
-    _require_two_qubits(rho)
-    vcols = _support_vectors(rho)
-    rank = vcols.shape[1]
-    u, d = _takagi_of_overlap(vcols)
-
+    vcols, u, lambdas = _spin_flip(rho)
     xcols = np.zeros((4, 4), dtype=np.complex128)
-    xcols[:, :rank] = vcols @ u.conj().T
-    lambdas = np.zeros(4)
-    lambdas[:rank] = d
+    xcols[:, : vcols.shape[1]] = vcols @ u.conj().T
 
     xprime = np.zeros_like(xcols)
     k = np.zeros(4)
@@ -113,12 +103,11 @@ def wootters_basis(rho: DensityMatrix) -> WoottersData:
         if lambdas[i] > SUPPORT_CUT:
             xprime[:, i] = xcols[:, i] / np.sqrt(lambdas[i])
             k[i] = float(np.real(np.vdot(xprime[:, i], xprime[:, i])))
-    conc = float(max(0.0, lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]))
     return WoottersData(
         lambdas=lambdas,
         x_vectors=xcols.T.copy(),
         x_prime_vectors=xprime.T.copy(),
         k=k,
         P=lambdas * k,
-        concurrence=conc,
+        concurrence=_concurrence(lambdas),
     )

@@ -112,8 +112,8 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
 
 
 def lambdas_via_proxy(rho: DensityMatrix) -> np.ndarray:
-    """The spectrum of `wootters.wootters_lambdas` through the Hermitian proxy
-    sqrt(rho) rho~ sqrt(rho), with rho~ = (sy (x) sy) rho* (sy (x) sy).
+    """The flip spectrum `wootters.wootters_basis(rho).lambdas` through the
+    Hermitian proxy sqrt(rho) rho~ sqrt(rho), with rho~ = (sy (x) sy) rho* (sy (x) sy).
 
     Accuracy near zero is ~sqrt(eps) because eigenvalues of the proxy are
     lam_i**2.

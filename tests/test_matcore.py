@@ -11,7 +11,7 @@ from lsdecomp.errors import InputError
 from helpers import random_hermitian, random_unitary
 
 
-def test_psd_sqrt_rejects_non_hermitian():
+def test_is_psd_rejects_non_hermitian_and_non_square():
     with pytest.raises(InputError, match="matrix is not Hermitian within 1e-12"):
         mc.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):

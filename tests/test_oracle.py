@@ -244,7 +244,8 @@ def test_search_tolerance_below_the_attainable_gap(tol):
     (-math.inf, "tol must be finite"),
     ("1e-7", "tol must be a real number, got '1e-7'"),
     (None, "tol must be a real number, got None"),
-], ids=["nan", "inf", "-inf", "text", "none"])
+    (10**400, "tol must be finite, got an integer beyond float range$"),
+], ids=["nan", "inf", "-inf", "text", "none", "int_beyond_float"])
 def test_search_rejects_a_tol_that_is_not_finite(tol, message):
     # inf would stop at the start point and nan would run out of Newton steps
     with pytest.raises(InputError, match=message):

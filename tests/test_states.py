@@ -285,12 +285,24 @@ _P4 = (0.7, 0.1, 0.1, 0.1)
 ], ids=["werner_text", "werner_none", "isotropic_list", "horodecki33_text", "multi_iso_none",
         "bd22_text", "bd23_text", "icd_text"])
 def test_parameters_float_cannot_read_raise_input_error(spec, message):
-    calls = [st.build, lsd.decompose, separability.family_region]
-    if isinstance(spec, st.ICD):  # the only search family that reads more than sizes
-        calls.append(orc.family_for_spec)
-    for call in calls:
+    for call in (st.build, lsd.decompose, separability.family_region, orc.family_for_spec):
         with pytest.raises(InputError, match=message):
             call(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    st.Werner(d=3, f=5.0), st.BD22(p=(2, 0, 0, 0)), st.BD23(p=(1,) * 6),
+    st.ICD(theta=0.6, p=(2, 0, 0, 0)), st.ICD(theta=2.0, p=(2, 0, 0, 0)),
+    st.Horodecki33(alpha=9.0), st.MultiIso(d=2, n=3, s=1.5), st.Isotropic(d=3, F=1.5),
+], ids=["werner_f", "bd22_p", "bd23_sum", "icd_p", "icd_theta_first", "horodecki33_alpha",
+        "multi_iso_s", "isotropic_F"])
+def test_search_family_rejects_what_build_rejects(spec):
+    # the search families read only some fields; the others are still checked
+    with pytest.raises(InputError) as built:
+        st.build(spec)
+    with pytest.raises(InputError) as searched:
+        orc.family_for_spec(spec)
+    assert str(searched.value) == str(built.value)
 
 
 @pytest.mark.parametrize("text, number", [

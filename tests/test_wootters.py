@@ -18,15 +18,15 @@ def pure_two_qubit(theta: float) -> st.DensityMatrix:
 
 def test_lambdas_pure_state():
     for theta in np.linspace(0.05, np.pi / 2 - 0.05, 9):
-        lam = wo.wootters_lambdas(pure_two_qubit(theta))
+        lam = wo.wootters_basis(pure_two_qubit(theta)).lambdas
         assert lam[0] == pytest.approx(np.sin(2 * theta), abs=1e-12)
         assert np.all(lam[1:] <= 1e-12)
 
 
 def test_lambdas_bell_diagonal_and_mixed():
-    lam = wo.wootters_lambdas(st.make_bd22([0.7, 0.1, 0.1, 0.1]))
+    lam = wo.wootters_basis(st.make_bd22([0.7, 0.1, 0.1, 0.1])).lambdas
     assert np.allclose(lam, [0.7, 0.1, 0.1, 0.1], atol=1e-12)
-    lam = wo.wootters_lambdas(st.make_bd22([0.25] * 4))
+    lam = wo.wootters_basis(st.make_bd22([0.25] * 4)).lambdas
     assert np.allclose(lam, [0.25] * 4, atol=1e-12)
 
 
@@ -34,7 +34,7 @@ def test_lambdas_agree_with_hermitian_proxy():
     rng = np.random.default_rng(0)
     for _ in range(100):
         rho = ginibre_state(rng, 4, (2, 2))
-        a = wo.wootters_lambdas(rho)
+        a = wo.wootters_basis(rho).lambdas
         b = lambdas_via_proxy(rho)
         assert np.max(np.abs(a - b)) <= 1e-7
 
@@ -45,7 +45,8 @@ def test_lambdas_local_unitary_invariance():
         rho = ginibre_state(rng, 4, (2, 2))
         u = mc.kron(random_unitary(rng, 2), random_unitary(rng, 2))
         rotated = st.DensityMatrix(u @ rho.mat @ u.conj().T, (2, 2))
-        assert np.max(np.abs(wo.wootters_lambdas(rotated) - wo.wootters_lambdas(rho))) <= 1e-9
+        lam, rotated_lam = wo.wootters_basis(rho).lambdas, wo.wootters_basis(rotated).lambdas
+        assert np.max(np.abs(rotated_lam - lam)) <= 1e-9
 
 
 def test_concurrence_values():
@@ -109,6 +110,8 @@ def test_basis_rank_deficient_state():
     data = wo.wootters_basis(rho)
     assert np.allclose(data.lambdas, [0.8, 0.2, 0.0, 0.0], atol=1e-12)
     assert data.k[2] == 0.0 and data.k[3] == 0.0
+    assert np.array_equal(data.flip_vectors, data.x_prime_vectors[:2])
+    assert data.product_vectors.shape == (0, 4)
     x = data.x_vectors.T
     assert np.linalg.norm(x @ x.conj().T - rho.mat) <= 1e-9
 
@@ -122,3 +125,4 @@ def test_basis_of_a_product_state_is_zero():
     assert np.array_equal(data.k, np.zeros(4)) and np.array_equal(data.P, np.zeros(4))
     assert np.array_equal(data.x_prime_vectors, np.zeros((4, 4)))
     assert data.concurrence == 0.0
+    assert data.flip_vectors.shape == (0, 4)

@@ -26,7 +26,9 @@ raw 2x2 matrices with entries from 8e153 to 1e200 in the corners of
 |00><11| and |11><00| (the `overflow` group: the norm, or the norm of the
 skew part, overflows a double), and inputs nested deeper than the JSON
 reader or numpy reaches (the `nesting` group: 100000 open brackets, and a
-raw spec whose `re` is 1.0 inside 40 lists).
+raw spec whose `re` is 1.0 inside 40 lists), and a Hermitian, unit-trace
+2x2 matrix with the eigenvalue -0.1 (the `notpsd` group, and the report
+`separable_not_psd`, whose separable block it is).
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -94,6 +96,8 @@ MULTI_ISO_SIZES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 5), (2, 6), (3, 3
 SEED = 0  # of the random draws
 PER_FAMILY = 40  # random draws of each family
 SHOWN = 20  # changed runs listed per kind by --compare
+# Hermitian with trace 1 and eigenvalues (0.7, 0.3, 0.1, -0.1)
+NOT_PSD = np.diag([0.7, 0.3, 0.1, -0.1]).tolist()
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +338,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         # nesting beyond numpy's flat iterator, and beyond the report writer's recursion
         ("separable_re_40_deep", edit(lambda r: r["separable"].update({"re": _nested(1.0, 40)}))),
         ("input_note_600_deep", edit(lambda r: r["input"].update({"note": _nested([], 599)}))),
+        # a Hermitian, unit-trace separable block with a negative eigenvalue
+        ("separable_not_psd", edit(lambda r: r["separable"].update(
+            {"re": NOT_PSD, "im": np.zeros((4, 4)).tolist()}))),
     ]
 
 
@@ -493,6 +500,8 @@ def run_corpus() -> None:
     # iterator reaches (32 dimensions)
     inputs += [("nesting", "[" * 100000),
                ("nesting", json.dumps({"family": "raw", "dims": [2, 2], "re": _nested(1.0, 40)}))]
+    # a Hermitian, unit-trace matrix with a negative eigenvalue
+    inputs.append(("notpsd", json.dumps({"family": "raw", "dims": [2, 2], "re": NOT_PSD})))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
