@@ -326,7 +326,7 @@ def _selftest() -> tuple[dict, bool]:
     run("sigma_y_eigenvalues", lambda: np.allclose(
         np.linalg.eigvalsh(matcore.SIGMA_Y), [-1.0, 1.0]))
     run("kron_identity", lambda: np.allclose(
-        matcore.kron(np.eye(2), np.eye(2)), np.eye(4)))
+        np.kron(np.eye(2), np.eye(2)), np.eye(4)))
     run("partial_transpose_involution", lambda: np.allclose(
         matcore.partial_transpose(
             matcore.partial_transpose(np.arange(36.0).reshape(6, 6), (2, 3)), (2, 3)),
@@ -481,7 +481,8 @@ for _name in ("decompose", "separability", "concurrence", "oracle", "verify", "s
         _cmd.add_argument("--input", required=True, help="path, '-' for stdin, or inline JSON")
     _cmd.add_argument("--tol", type=float, default=None,
                       help="tolerance override; the oracle search stops at a duality gap of "
-                           "tol/1000 (at least 1e-12)")
+                           "tol/1000 (at least 1e-12), and verify takes it as its "
+                           "reconstruction tolerance (default 1e-10)")
     _cmd.add_argument("--seed", type=int, default=0,
                       help="accepted for compatibility; the oracle search is deterministic")
     _cmd.add_argument("--format", choices=("json", "text"), default="json")

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import InputError, NoConvergence
 
-HERM_RTOL = 1e-12
-PSD_TOL = 1e-9
-
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 
 
@@ -39,31 +36,6 @@ def as_matrix(a) -> np.ndarray:
     return arr
 
 
-def frob(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
-def _require_square_hermitian(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """The checked matrix and its Frobenius norm."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise InputError(f"matrix is not square: shape {a.shape}")
-    with np.errstate(over="ignore"):  # the skew part's norm can overflow where a's does not
-        norm, skew = frob(a), frob(a - dagger(a))
-    if skew > HERM_RTOL * max(1e-300, norm):
-        raise InputError(f"matrix is not Hermitian within {HERM_RTOL:g}")
-    return a, norm
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product A (x) B."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 def partial_transpose(rho, dims) -> np.ndarray:
     """Partial transpose of a bipartite matrix on its second subsystem.
 
@@ -80,12 +52,6 @@ def partial_transpose(rho, dims) -> np.ndarray:
     return rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(n, n).copy()
 
 
-def is_psd(a, tol: float = PSD_TOL) -> bool:
-    """True iff the Hermitian matrix has min eigenvalue >= -tol*max(1, ||A||_F)."""
-    a, norm = _require_square_hermitian(a)
-    return float(np.linalg.eigvalsh(a)[0]) >= -tol * max(1.0, norm)
-
-
 def swap_operator(d: int) -> np.ndarray:
     """Flip operator F = sum_ij |ij><ji| on C^d (x) C^d."""
     f = np.zeros((d * d, d * d))
@@ -99,7 +65,7 @@ def _orthonormal_completion(cols: np.ndarray, n: int, k: int) -> np.ndarray:
     """k orthonormal columns spanning the orthocomplement of `cols` in C^n."""
     if cols.shape[1] == 0:
         return np.eye(n, dtype=np.complex128)[:, :k]
-    proj = np.eye(n, dtype=np.complex128) - cols @ dagger(cols)
+    proj = np.eye(n, dtype=np.complex128) - cols @ cols.conj().T
     u, _, _ = np.linalg.svd(proj)
     return u[:, :k]
 
@@ -118,7 +84,7 @@ def takagi_factorize(s) -> tuple[np.ndarray, np.ndarray]:
     if s.shape[0] != s.shape[1]:
         raise InputError(f"matrix is not square: shape {s.shape}")
     with np.errstate(over="ignore"):
-        scale, skew = max(1.0, frob(s)), frob(s - s.T)
+        scale, skew = max(1.0, np.linalg.norm(s)), np.linalg.norm(s - s.T)
     if skew > 1e-12 * scale:
         raise InputError("matrix is not complex symmetric within tolerance")
 
@@ -143,5 +109,4 @@ def takagi_factorize(s) -> tuple[np.ndarray, np.ndarray]:
         wvecs[:, ~pos] = _orthonormal_completion(wvecs[:, pos], n, k)
         d[~pos] = np.maximum(d[~pos], 0.0)
 
-    u = dagger(wvecs)
-    return u, d
+    return wvecs.conj().T, d

@@ -456,7 +456,7 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
     x = np.asarray(x_hat, dtype=float).item()
     f_at = problem.f0 + x * problem.f1
     f_at = matcore.as_matrix(0.5 * (f_at + f_at.conj().T))
-    scale = max(1.0, matcore.frob(f_at))
+    scale = max(1.0, np.linalg.norm(f_at))
     w, v = np.linalg.eigh(f_at)
     if w[0] < -1e-9 * scale:
         raise InfeasiblePoint(f"F(x) has eigenvalue {w[0]:.3e}; point is primal infeasible")
@@ -474,7 +474,7 @@ def duality_check(problem: SdpProblem, x_hat: np.ndarray) -> DualityReport:
 
     primal = -x
     dual = -float(np.real(np.trace(problem.f0 @ z)))
-    slack = matcore.frob(f_at @ z)
+    slack = float(np.linalg.norm(f_at @ z))
     return DualityReport(
         primal_value=primal,
         dual_value=dual,

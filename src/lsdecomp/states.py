@@ -31,6 +31,8 @@ from .errors import InputError
 
 PROB_SUM_TOL = 1e-9
 PROB_ENTRY_TOL = 1e-12
+HERM_RTOL = 1e-12
+PSD_TOL = 1e-9
 MAX_SIZE = 64  # largest Hilbert-space dimension of a named family
 
 
@@ -47,6 +49,8 @@ class DensityMatrix:
             dims = tuple(_whole("subsystem dimension", d) for d in self.dims)
         except TypeError:  # dims is not iterable
             raise InputError(f"dims must be a sequence of integers, got {self.dims!r}") from None
+        if not dims:
+            raise InputError("dims must name at least one subsystem, got ()")
         size = 1
         for d in dims:
             if d < 1:
@@ -56,11 +60,14 @@ class DensityMatrix:
             raise InputError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
-        psd = matcore.is_psd(mat)  # raises InputError first if mat is not Hermitian
+        with np.errstate(over="ignore"):  # the skew part's norm can overflow where mat's does not
+            norm, skew = np.linalg.norm(mat), np.linalg.norm(mat - mat.conj().T)
+        if skew > HERM_RTOL * max(1e-300, norm):
+            raise InputError(f"matrix is not Hermitian within {HERM_RTOL:g}")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-12:
             raise InputError(f"trace is {tr:.15g}, expected 1 within 1e-12")
-        if not psd:
+        if np.linalg.eigvalsh(mat)[0] < -PSD_TOL * max(1.0, norm):
             raise InputError("density matrix is not PSD within tolerance")
         mat = mat.copy()
         mat.setflags(write=False)

@@ -23,7 +23,7 @@ from . import matcore
 from .errors import InputError
 from .states import DensityMatrix
 
-_YY = matcore.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
+_YY = np.kron(matcore.SIGMA_Y, matcore.SIGMA_Y)
 
 SUPPORT_CUT = 1e-12
 

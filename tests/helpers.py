@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lsdecomp import lsd, matcore, separability, wootters
+from lsdecomp import lsd, separability, wootters
 from lsdecomp.errors import InputError
 from lsdecomp.states import DensityMatrix, make_bd22, make_bd23, make_icd
 
@@ -27,6 +27,11 @@ def ginibre_state(rng: np.random.Generator, n: int, dims=None) -> DensityMatrix:
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (g + g.conj().T)
+
+
+def psd_within(a: np.ndarray, tol: float) -> bool:
+    """True iff the Hermitian matrix has min eigenvalue >= -tol*max(1, ||A||_F)."""
+    return bool(np.linalg.eigvalsh(a)[0] >= -tol * max(1.0, np.linalg.norm(a)))
 
 
 def sample_entangled_bd22(rng: np.random.Generator) -> np.ndarray:
@@ -99,12 +104,12 @@ def lambda_max_bisect(rho: DensityMatrix, sigma: DensityMatrix, tol: float = 1e-
     if rho.mat.shape != sigma.mat.shape:
         raise InputError(f"state sizes differ: {rho.mat.shape} vs {sigma.mat.shape}")
     psd_tol = min(1e-12, tol * 1e-3)
-    if matcore.is_psd(rho.mat - sigma.mat, psd_tol):
+    if psd_within(rho.mat - sigma.mat, psd_tol):
         return 1.0
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if matcore.is_psd(rho.mat - mid * sigma.mat, psd_tol):
+        if psd_within(rho.mat - mid * sigma.mat, psd_tol):
             lo = mid
         else:
             hi = mid

@@ -261,7 +261,7 @@ def test_criterion_7_duality_at_optima(battery):
 
 def test_criterion_8_wootters_invariants():
     rng = np.random.default_rng(808)
-    yy = mc.kron(mc.SIGMA_Y, mc.SIGMA_Y)
+    yy = np.kron(mc.SIGMA_Y, mc.SIGMA_Y)
     worst = 0.0
     for _ in range(200):
         rho = ginibre_state(rng, 4, (2, 2))

@@ -366,6 +366,25 @@ def test_selftest_passes(capsys):
     assert all(item["ok"] for item in report["results"])
 
 
+def test_selftest_reports_a_crashing_check_as_failed(capsys, monkeypatch):
+    def crash(p):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("lsdecomp.states.bd22_correlation", crash)
+    code, out, err = run_cli(capsys, "selftest")
+    assert (code, err) == (3, "")
+    report = json.loads(out)
+    assert report["all_ok"] is False
+    assert [r["name"] for r in report["results"] if not r["ok"]] == ["bd22_vertex_correlation"]
+
+
+def test_tol_help_names_the_verify_reconstruction_tolerance(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "verify takes it as its reconstruction tolerance (default 1e-10)" in out
+
+
 def test_text_format(capsys):
     code, out, _ = run_cli(
         capsys, "separability", "--input", '{"family":"werner","d":3,"f":0.5}',
@@ -817,6 +836,18 @@ def test_raw_matrices_whose_norms_overflow_are_rejected(capsys, command, x, y, m
     assert (code, out) == (2, "")
     assert err == f"error (InputError): {message}\n"
     assert caught == []
+
+
+def test_verify_rejects_a_state_with_no_subsystems(capsys):
+    # a 1x1 state and separable block with empty dims; verify cuts the state
+    # after its first subsystem, which it does not have
+    spec = {"family": "raw", "dims": [], "re": [[1.0]]}
+    report = {"schema": "lsd-report/1", "input": spec, "lambda": 1.0,
+              "separable": {"re": [[1.0]], "im": [[0.0]], "dims": []}}
+    message = "error (InputError): dims must name at least one subsystem, got ()\n"
+    assert run_cli(capsys, "verify", "--input", json.dumps(report)) == (2, "", message)
+    for command in ("decompose", "separability", "concurrence", "oracle"):
+        assert run_cli(capsys, command, "--input", json.dumps(spec)) == (2, "", message)
 
 
 def test_verify_rejects_a_separable_block_whose_norm_overflows(capsys):

@@ -13,6 +13,7 @@ from lsdecomp.errors import InputError, NumericalError
 
 from helpers import (
     ginibre_state,
+    psd_within,
     sample_entangled_2q,
     sample_entangled_bd22,
     sample_entangled_bd23,
@@ -466,11 +467,9 @@ def test_weight_is_maximal_within_family():
     cases.append((st.make_isotropic(3, 0.5), lsd.decompose(st.Isotropic(3, 0.5))))
     cases.append((st.make_horodecki33(4.0), lsd.decompose(st.Horodecki33(4.0))))
     cases.append((st.make_multi_iso(2, 3, 0.6), lsd.decompose(st.MultiIso(2, 3, 0.6))))
-    from lsdecomp import matcore as mc
-
     for rho, dec in cases:
         bumped = rho.mat - (dec.lam + 1e-4) * dec.separable_part.mat
-        assert not mc.is_psd(bumped, 1e-12)
+        assert not psd_within(bumped, 1e-12)
 
 
 def test_decompose_dispatch():
@@ -515,6 +514,16 @@ def test_raw_ginibre_states_decompose():
         rho = ginibre_state(rng, 4, (2, 2))
         dec = lsd.decompose(st.Raw(dims=(2, 2), matrix=rho.mat))
         check_decomposition(rho, dec)
+
+
+@pytest.mark.parametrize("lam, sep_p, message", [
+    (1.5, [0.5, 1 / 6, 1 / 6, 1 / 6], r"weight 1\.5 outside \[0, 1\]"),
+    (1.0, [1.0, 0.0, 0.0, 0.0], "entangled part is not PSD"),
+], ids=["weight", "residual"])
+def test_assemble_guards_its_invariants(lam, sep_p, message):
+    rho = st.make_bd22([0.7, 0.1, 0.1, 0.1])
+    with pytest.raises(NumericalError, match=message):
+        lsd._assemble(rho, lam, st.make_bd22(sep_p), "bd22")
 
 
 def test_verify_flags_inflated_weight():

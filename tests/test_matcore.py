@@ -1,4 +1,6 @@
-"""Matrix-algebra layer: matrix coercion, kron, partial transpose, the PSD test, Takagi."""
+"""Matrix-algebra layer: matrix coercion, the partial transpose and Takagi
+factorization. The Hermitian and PSD test of a state is in
+`tests/test_states.py`, with `DensityMatrix`, which runs it."""
 
 import warnings
 
@@ -9,13 +11,6 @@ from lsdecomp import matcore as mc
 from lsdecomp.errors import InputError
 
 from helpers import random_hermitian, random_unitary
-
-
-def test_is_psd_rejects_non_hermitian_and_non_square():
-    with pytest.raises(InputError, match="matrix is not Hermitian within 1e-12"):
-        mc.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(InputError, match=r"matrix is not square: shape \(2, 3\)"):
-        mc.is_psd(np.ones((2, 3)))
 
 
 def test_as_matrix_keeps_real_input_real():
@@ -49,38 +44,6 @@ def test_as_matrix_rejects_with_input_error(a, message):
         mc.as_matrix(a)
 
 
-def test_kron_identity():
-    assert np.allclose(mc.kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_z_pair():
-    sigma_z = np.diag([1.0, -1.0])
-    assert np.allclose(mc.kron(sigma_z, sigma_z), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_associative_and_bilinear():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.allclose(mc.kron(mc.kron(a, b), c), mc.kron(a, mc.kron(b, c)), atol=1e-12)
-        a2 = rng.normal(size=(2, 2))
-        assert np.allclose(
-            mc.kron(a + a2, b), mc.kron(a, b) + mc.kron(a2, b), atol=1e-12
-        )
-
-
-def test_kron_index_formula():
-    rng = np.random.default_rng(6)
-    a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    b = rng.normal(size=(4, 2))
-    k = mc.kron(a, b)
-    for i in range(2):
-        for j in range(3):
-            for r in range(4):
-                for c in range(2):
-                    assert k[i * 4 + r, j * 2 + c] == pytest.approx(a[i, j] * b[r, c])
-
-
 def test_partial_transpose_product_state_stays_psd():
     rng = np.random.default_rng(7)
     a = rng.normal(size=(2, 2))
@@ -88,9 +51,9 @@ def test_partial_transpose_product_state_stays_psd():
     ra, rb = a @ a.T, b @ b.T
     ra /= np.trace(ra)
     rb /= np.trace(rb)
-    rho = mc.kron(ra, rb)
+    rho = np.kron(ra, rb)
     pt = mc.partial_transpose(rho, (2, 3))
-    assert np.allclose(pt, mc.kron(ra, rb.T))
+    assert np.allclose(pt, np.kron(ra, rb.T))
     assert np.linalg.eigvalsh(pt)[0] >= -1e-12
 
 
@@ -118,34 +81,17 @@ def test_partial_transpose_dimension_check():
         mc.partial_transpose(np.eye(4), (2, 3))
 
 
-def test_is_psd_cases():
-    assert mc.is_psd(np.zeros((3, 3)))
-    assert not mc.is_psd(np.diag([1.0, -1e-3]), tol=1e-9)
-    assert mc.is_psd(np.diag([1.0, -1e-12]), tol=1e-9)
-
-
 @pytest.mark.parametrize("fn, a, message", [
-    (mc.is_psd, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
     (mc.takagi_factorize, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
     # a finite norm whose skew part's norm overflows
-    (mc.is_psd, [[0.5, 8e153], [-8e153, 0.5]], "matrix is not Hermitian within 1e-12"),
     (mc.takagi_factorize, [[0.5, 8e153], [-8e153, 0.5]], "not complex symmetric within tolerance"),
-], ids=["is_psd", "takagi", "is_psd_skew", "takagi_skew"])
+], ids=["takagi", "takagi_skew"])
 def test_checked_functions_reject_matrices_whose_norms_overflow(fn, a, message):
     # a norm of inf made every tolerance scaled by it inf, so any matrix passed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=message):
             fn(a)
-
-
-def test_is_psd_werner_partial_transpose():
-    from lsdecomp.states import make_werner
-
-    w = make_werner(2, -0.5)
-    pt = mc.partial_transpose(w.mat, (2, 2))
-    assert not mc.is_psd(pt)
-    assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_takagi_real_diagonal():
@@ -188,7 +134,7 @@ def test_takagi_matches_singular_values_of_generic_symmetric():
 
 def test_takagi_degenerate_and_zero_blocks():
     # all singular values equal
-    s = mc.kron(mc.SIGMA_Y, mc.SIGMA_Y).real.astype(complex)
+    s = np.kron(mc.SIGMA_Y, mc.SIGMA_Y).real.astype(complex)
     u, d = mc.takagi_factorize(s)
     assert np.allclose(d, np.ones(4))
     assert np.linalg.norm(u @ s @ u.T - np.diag(d)) < 1e-10

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lsdecomp import lsd
-from lsdecomp import matcore as mc
 from lsdecomp import oracle as orc
 from lsdecomp import states as st
 from lsdecomp.errors import (
@@ -19,6 +18,7 @@ from lsdecomp.errors import (
 from helpers import (
     ginibre_state,
     lambda_max_bisect,
+    psd_within,
     random_unitary,
     sample_entangled_2q,
     sample_entangled_bd22,
@@ -528,7 +528,7 @@ def test_bsa_as_sdp_structure():
     assert np.allclose(prob.f0, rho.mat)
     assert np.allclose(prob.f1, -sigma.mat)
     # L = 0 is always feasible, and the constraint is active at the optimum
-    assert mc.is_psd(prob.f0)
+    assert psd_within(prob.f0, st.PSD_TOL)
     lam = orc.lambda_max_fixed(rho, sigma)
     f_at = prob.f0 + lam * prob.f1
     assert abs(np.linalg.eigvalsh(f_at)[0]) <= 1e-8

@@ -12,7 +12,7 @@ from lsdecomp import oracle as orc
 from lsdecomp import states as st
 from lsdecomp.errors import InputError
 
-from helpers import random_unitary
+from helpers import psd_within, random_unitary
 
 PAULI = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
 
@@ -52,7 +52,7 @@ def test_bd22_matches_pauli_expansion():
         t = st.bd22_correlation(p)
         expansion = np.eye(4, dtype=complex)
         for i in range(3):
-            expansion = expansion + t[i] * mc.kron(PAULI[i], PAULI[i])
+            expansion = expansion + t[i] * np.kron(PAULI[i], PAULI[i])
         assert np.linalg.norm(st.make_bd22(p).mat - expansion / 4.0) <= 1e-12
 
 
@@ -137,7 +137,7 @@ def test_werner_uu_invariance():
     rng = np.random.default_rng(4)
     for d in (2, 3):
         u = random_unitary(rng, d)
-        uu = mc.kron(u, u)
+        uu = np.kron(u, u)
         rho = st.make_werner(d, rng.uniform(-1, 1))
         assert np.linalg.norm(uu @ rho.mat @ uu.conj().T - rho.mat) <= 1e-9
 
@@ -164,7 +164,7 @@ def test_isotropic_uustar_invariance():
     rng = np.random.default_rng(6)
     for d in (2, 3):
         u = random_unitary(rng, d)
-        uustar = mc.kron(u, u.conj())
+        uustar = np.kron(u, u.conj())
         rho = st.make_isotropic(d, rng.uniform(0, 1))
         assert np.linalg.norm(uustar @ rho.mat @ uustar.conj().T - rho.mat) <= 1e-9
 
@@ -352,9 +352,13 @@ def test_build_dispatch_and_raw():
     (np.eye(4) / 4, (None, 2), "subsystem dimension must be an integer, got None"),
     (np.eye(4) / 4, (math.inf, 2), "subsystem dimension must be an integer, got inf"),
     (np.eye(4) / 4, 4, "dims must be a sequence of integers, got 4"),
+    # dims that name no subsystem, whatever the matrix's size
+    (np.eye(1), (), r"dims must name at least one subsystem, got \(\)"),
+    (np.eye(2) / 2, [], r"dims must name at least one subsystem, got \(\)"),
 ], ids=["dims", "shape", "hermitian", "trace", "psd", "finite", "ndim", "norm_overflow",
         "antisymmetric_norm_overflow", "skew_norm_overflow", "dims_fractional", "dims_text",
-        "dims_word", "dims_nan", "dims_none", "dims_inf", "dims_not_a_sequence"])
+        "dims_word", "dims_nan", "dims_none", "dims_inf", "dims_not_a_sequence", "dims_empty",
+        "dims_empty_2x2"])
 def test_density_matrix_rejects_with_input_error(mat, dims, message):
     # InputError is also a ValueError, so code that catches ValueError still works
     with pytest.raises(InputError, match=message) as info:
@@ -362,6 +366,28 @@ def test_density_matrix_rejects_with_input_error(mat, dims, message):
     assert isinstance(info.value, ValueError)
     with pytest.raises(InputError, match=message):
         st.make_raw(dims, mat)
+
+
+def test_density_matrix_psd_tolerance_edge():
+    # the smallest eigenvalue may reach -PSD_TOL * max(1, ||mat||_F) and no lower
+    assert st.PSD_TOL == 1e-9
+    st.DensityMatrix(np.diag([1.0 + 0.9e-9, -0.9e-9]), (2,))
+    st.DensityMatrix(np.diag([1.0 + 1e-12, -1e-12]), (2,))
+    with pytest.raises(InputError, match="density matrix is not PSD within tolerance"):
+        st.DensityMatrix(np.diag([1.0 + 1.1e-9, -1.1e-9]), (2,))
+    # the partial transpose of a Werner state: Hermitian, unit trace, eigenvalue -1/4
+    pt = mc.partial_transpose(st.make_werner(2, -0.5).mat, (2, 2))
+    assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
+    with pytest.raises(InputError, match="density matrix is not PSD within tolerance"):
+        st.DensityMatrix(pt, (2, 2))
+
+
+def test_density_matrix_coerces_its_matrix_once(monkeypatch):
+    calls = []
+    as_matrix = mc.as_matrix
+    monkeypatch.setattr(mc, "as_matrix", lambda a: (calls.append(1), as_matrix(a))[1])
+    st.DensityMatrix(np.eye(4) / 4, (2, 2))
+    assert len(calls) == 1
 
 
 def test_density_matrix_reads_whole_dims_as_ints():
@@ -386,10 +412,10 @@ def test_density_matrix_accepts_exactly_hermitian_psd_matrices():
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         skew = g - g.conj().T
         np.fill_diagonal(skew, 0.0)
-        skew *= rng.uniform(0.8e-12, 1.2e-12) * mc.frob(mat) / mc.frob(2.0 * skew)
+        skew *= rng.uniform(0.8e-12, 1.2e-12) * np.linalg.norm(mat) / np.linalg.norm(2.0 * skew)
         mat = mat + skew
-        hermitian = mc.frob(mat - mat.conj().T) <= 1e-12 * mc.frob(mat)
-        expected = hermitian and mc.is_psd(mat)
+        hermitian = np.linalg.norm(mat - mat.conj().T) <= 1e-12 * np.linalg.norm(mat)
+        expected = hermitian and psd_within(mat, st.PSD_TOL)
         try:
             st.DensityMatrix(mat, (2, 2))
             accepted = True

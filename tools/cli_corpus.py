@@ -26,9 +26,11 @@ raw 2x2 matrices with entries from 8e153 to 1e200 in the corners of
 |00><11| and |11><00| (the `overflow` group: the norm, or the norm of the
 skew part, overflows a double), and inputs nested deeper than the JSON
 reader or numpy reaches (the `nesting` group: 100000 open brackets, and a
-raw spec whose `re` is 1.0 inside 40 lists), and a Hermitian, unit-trace
+raw spec whose `re` is 1.0 inside 40 lists), a Hermitian, unit-trace
 2x2 matrix with the eigenvalue -0.1 (the `notpsd` group, and the report
-`separable_not_psd`, whose separable block it is).
+`separable_not_psd`, whose separable block it is), and a raw 1x1 state
+whose dims name no subsystem (the `nodims` group, and the report
+`input_nodims`, which names it with a matching 1x1 separable block).
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
@@ -98,6 +100,7 @@ PER_FAMILY = 40  # random draws of each family
 SHOWN = 20  # changed runs listed per kind by --compare
 # Hermitian with trace 1 and eigenvalues (0.7, 0.3, 0.1, -0.1)
 NOT_PSD = np.diag([0.7, 0.3, 0.1, -0.1]).tolist()
+NO_DIMS = {"family": "raw", "dims": [], "re": [[1.0]]}
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +344,9 @@ def malformed_reports(report: dict) -> list[tuple[str, object]]:
         # a Hermitian, unit-trace separable block with a negative eigenvalue
         ("separable_not_psd", edit(lambda r: r["separable"].update(
             {"re": NOT_PSD, "im": np.zeros((4, 4)).tolist()}))),
+        # a state whose dims name no subsystem, and its own 1x1 separable part
+        ("input_nodims", {"schema": report["schema"], "input": NO_DIMS, "lambda": 1.0,
+                          "separable": {"re": [[1.0]], "im": [[0.0]], "dims": []}}),
     ]
 
 
@@ -502,6 +508,7 @@ def run_corpus() -> None:
                ("nesting", json.dumps({"family": "raw", "dims": [2, 2], "re": _nested(1.0, 40)}))]
     # a Hermitian, unit-trace matrix with a negative eigenvalue
     inputs.append(("notpsd", json.dumps({"family": "raw", "dims": [2, 2], "re": NOT_PSD})))
+    inputs.append(("nodims", json.dumps(NO_DIMS)))
     for i, (group, text) in enumerate(inputs):
         for cmd in COMMANDS:
             code, out, err = run([*cmd, "--input", text])
