@@ -1,6 +1,5 @@
-"""Matrix-algebra layer: matrix coercion, the partial transpose and Takagi
-factorization. The Hermitian and PSD test of a state is in
-`tests/test_states.py`, with `DensityMatrix`, which runs it."""
+"""Matrix-algebra layer: matrix coercion, the partial transpose, the PSD test
+of a state (run by `DensityMatrix`) and Takagi factorization."""
 
 import warnings
 
@@ -8,6 +7,7 @@ import numpy as np
 import pytest
 
 from lsdecomp import matcore as mc
+from lsdecomp import states as st
 from lsdecomp.errors import InputError
 
 from helpers import random_hermitian, random_unitary
@@ -81,17 +81,51 @@ def test_partial_transpose_dimension_check():
         mc.partial_transpose(np.eye(4), (2, 3))
 
 
+def _is_psd(a):
+    # the PSD test of a state runs in DensityMatrix, after its Hermitian and trace checks
+    try:
+        st.DensityMatrix(a, (len(a),))
+    except InputError as e:
+        if str(e) != "density matrix is not PSD within tolerance":
+            raise
+        return False
+    return True
+
+
+def test_is_psd_cases():
+    # the smallest eigenvalue may reach -PSD_TOL * max(1, ||mat||_F) and no lower
+    assert st.PSD_TOL == 1e-9
+    assert _is_psd(np.diag([1.0, 0.0, 0.0]))
+    assert not _is_psd(np.diag([1.0 + 1e-3, -1e-3]))
+    assert _is_psd(np.diag([1.0 + 1e-12, -1e-12]))
+    assert _is_psd(np.diag([1.0 + 0.9e-9, -0.9e-9]))
+    assert not _is_psd(np.diag([1.0 + 1.1e-9, -1.1e-9]))
+
+
+def _density_matrix(a):
+    return st.DensityMatrix(a, (2,))
+
+
 @pytest.mark.parametrize("fn, a, message", [
+    (_density_matrix, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
     (mc.takagi_factorize, [[1e200, 1.0], [2.0, 1e200]], "its norm overflows"),
     # a finite norm whose skew part's norm overflows
+    (_density_matrix, [[0.5, 8e153], [-8e153, 0.5]], "matrix is not Hermitian within 1e-12"),
     (mc.takagi_factorize, [[0.5, 8e153], [-8e153, 0.5]], "not complex symmetric within tolerance"),
-], ids=["takagi", "takagi_skew"])
+], ids=["is_psd", "takagi", "is_psd_skew", "takagi_skew"])
 def test_checked_functions_reject_matrices_whose_norms_overflow(fn, a, message):
     # a norm of inf made every tolerance scaled by it inf, so any matrix passed
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match=message):
             fn(a)
+
+
+def test_is_psd_werner_partial_transpose():
+    # the partial transpose of a Werner state: Hermitian, unit trace, eigenvalue -1/4
+    pt = mc.partial_transpose(st.make_werner(2, -0.5).mat, (2, 2))
+    assert not _is_psd(pt)
+    assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_takagi_real_diagonal():

@@ -368,20 +368,6 @@ def test_density_matrix_rejects_with_input_error(mat, dims, message):
         st.make_raw(dims, mat)
 
 
-def test_density_matrix_psd_tolerance_edge():
-    # the smallest eigenvalue may reach -PSD_TOL * max(1, ||mat||_F) and no lower
-    assert st.PSD_TOL == 1e-9
-    st.DensityMatrix(np.diag([1.0 + 0.9e-9, -0.9e-9]), (2,))
-    st.DensityMatrix(np.diag([1.0 + 1e-12, -1e-12]), (2,))
-    with pytest.raises(InputError, match="density matrix is not PSD within tolerance"):
-        st.DensityMatrix(np.diag([1.0 + 1.1e-9, -1.1e-9]), (2,))
-    # the partial transpose of a Werner state: Hermitian, unit trace, eigenvalue -1/4
-    pt = mc.partial_transpose(st.make_werner(2, -0.5).mat, (2, 2))
-    assert np.linalg.eigvalsh(pt)[0] == pytest.approx(-0.25, abs=1e-12)
-    with pytest.raises(InputError, match="density matrix is not PSD within tolerance"):
-        st.DensityMatrix(pt, (2, 2))
-
-
 def test_density_matrix_coerces_its_matrix_once(monkeypatch):
     calls = []
     as_matrix = mc.as_matrix
