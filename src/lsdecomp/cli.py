@@ -479,15 +479,15 @@ for _name in ("decompose", "separability", "concurrence", "oracle", "verify", "s
     _cmd = _COMMANDS.add_parser(_name)
     if _name != "selftest":
         _cmd.add_argument("--input", required=True, help="path, '-' for stdin, or inline JSON")
-    _cmd.add_argument("--tol", type=float, default=None,
-                      help="tolerance override; the oracle search stops at a duality gap of "
-                           "tol/1000 (at least 1e-12), and verify takes it as its "
-                           "reconstruction tolerance (default 1e-10)")
-    _cmd.add_argument("--seed", type=int, default=0,
-                      help="accepted for compatibility; the oracle search is deterministic")
+    if _name in ("decompose", "oracle", "verify"):
+        _cmd.add_argument("--tol", type=float,
+                          help="oracle and decompose --oracle stop the search at a duality gap "
+                               "of tol/1000 (at least 1e-12); verify takes it as its "
+                               "reconstruction tolerance (default 1e-10)")
     _cmd.add_argument("--format", choices=("json", "text"), default="json")
     if _name == "decompose":
         _cmd.add_argument("--oracle", action="store_true", help="attach the numeric cross-check")
+_PARSER.set_defaults(tol=None)
 del _name, _cmd
 
 

@@ -371,10 +371,10 @@ def bsa_search(
     Solves max tr S(y) subject to rho + eps*I - S(y) >= 0 and the family's
     region by a log-barrier method, to a duality gap of at most tol/1000
     (but not below MIN_GAP); eps is EPS, plus the size of rho's smallest
-    eigenvalue if that is negative. The search is deterministic; `seed` is
-    accepted and not used. Returns the weight tr S(y) and the maximizing
-    candidate S(y) / tr S(y). Raises InputError for a tol that is not a
-    finite real number and NoConvergence when the solver fails.
+    eigenvalue if that is negative. The search is deterministic; `seed` is not used,
+    kept only because perfbench passes it, and goes with ROADMAP BX. Returns the
+    weight tr S(y) and the maximizing candidate S(y) / tr S(y). Raises InputError
+    for a tol that is not a finite real number and NoConvergence when the solver fails.
     """
     if not isinstance(tol, numbers.Real):
         raise InputError(f"tol must be a real number, got {tol!r}")

@@ -73,9 +73,7 @@ def test_concurrence_of_a_product_state(capsys):
 
 
 def test_oracle_command(capsys):
-    report = run_json(
-        capsys, "oracle", "--input", '{"family":"isotropic","d":3,"F":0.5}', "--seed", "1"
-    )
+    report = run_json(capsys, "oracle", "--input", '{"family":"isotropic","d":3,"F":0.5}')
     assert report["lambda_closed"] == pytest.approx(0.75, abs=1e-12)
     assert abs(report["oracle"]["lambda_numeric"] - 0.75) <= 1e-6
     assert report["oracle"]["gap"] <= 1e-6
@@ -237,8 +235,6 @@ def test_reports_are_deterministic(capsys):
         "--input",
         '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}',
         "--oracle",
-        "--seed",
-        "3",
     )
     code_a, out_a, _ = run_cli(capsys, *argv)
     code_b, out_b, _ = run_cli(capsys, *argv)
@@ -383,6 +379,31 @@ def test_tol_help_names_the_verify_reconstruction_tolerance(capsys):
         cli.main(["verify", "--help"])
     out = " ".join(capsys.readouterr().out.split())
     assert "verify takes it as its reconstruction tolerance (default 1e-10)" in out
+
+
+OPTIONS = {
+    "decompose": ["--input", "--tol", "--format", "--oracle"],
+    "separability": ["--input", "--format"],
+    "concurrence": ["--input", "--format"],
+    "oracle": ["--input", "--tol", "--format"],
+    "verify": ["--input", "--tol", "--format"],
+    "selftest": ["--format"],
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_each_command_takes_only_the_options_it_reads(capsys, command):
+    parser = cli._COMMANDS.choices[command]
+    assert [opt for action in parser._actions for opt in action.option_strings
+            if opt not in ("-h", "--help")] == OPTIONS[command]
+    spec = [] if command == "selftest" else ["--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}']
+    for flag, value in (("--seed", "1"), ("--tol", "0.5")):
+        if flag in OPTIONS[command]:
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *spec, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 def test_text_format(capsys):

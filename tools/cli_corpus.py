@@ -34,6 +34,10 @@ whose dims name no subsystem (the `nodims` group, and the report
 Each spec runs through `decompose` (plain, `--oracle` and `--format
 text`), `separability`, `concurrence` and `oracle`; every report that
 `decompose` writes is then run through `verify`, and `selftest` runs once.
+Last comes the `options` group: `--seed` on each of the six commands and
+`--tol` on `separability`, `concurrence` and `selftest`, which do not read
+them and exit 2, then `--tol 1e-9` on `decompose --oracle` and `oracle`
+of the bd22 state [0.7, 0.1, 0.1, 0.1] and on `verify` of its report.
 The package is imported from the `src` directory next to this script, so
 the output belongs to that checkout.
 
@@ -521,6 +525,18 @@ def run_corpus() -> None:
         code, out, err = run(["verify", "--input", json.dumps(rep)])
         print(line(f"report:{name} verify", code, out, err))
     print(line("selftest", *run(["selftest"])))
+    # the options group: an option a command does not read exits 2, and
+    # --tol runs where it is read
+    bd22 = ["--input", '{"family":"bd22","p":[0.7,0.1,0.1,0.1]}']
+    given = {"decompose": bd22, "separability": bd22, "concurrence": bd22, "oracle": bd22,
+             "verify": ["--input", base], "selftest": []}
+    for cmd, args in given.items():
+        print(line(f"options:{cmd} --seed", *run([cmd, *args, "--seed", "1"])))
+    for cmd in ("separability", "concurrence", "selftest"):
+        print(line(f"options:{cmd} --tol", *run([cmd, *given[cmd], "--tol", "0.5"])))
+    for cmd in (["decompose", "--oracle"], ["oracle"], ["verify"]):
+        print(line(f"options:{' '.join(cmd)} --tol",
+                   *run([*cmd, *given[cmd[0]], "--tol", "1e-9"])))
 
 
 # --------------------------------------------------------------------------
